@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-smoke obsv-smoke chaos-smoke trace-smoke fleet-smoke openloop-smoke domains-smoke diff-smoke replay-smoke eval examples cover clean
+.PHONY: all build test vet bench bench-smoke obsv-smoke chaos-smoke trace-smoke fleet-smoke openloop-smoke domains-smoke diff-smoke replay-smoke perf-test perf eval examples cover clean
 
 all: build vet test
 
@@ -199,6 +199,23 @@ replay-smoke:
 			> /dev/null || exit 1; \
 	done
 	@echo replay-smoke OK
+
+# The host-side benchmark's own tests. perfbench is a separate Go module,
+# so the root `go test ./...` never reaches it: this runs its pins and
+# harness-identity checks (e.g. TestComposedFig7MatchesHarness,
+# TestPinsCoverInputs).
+perf-test:
+	cd perfbench && $(GO) test ./...
+
+# One untraced host-side benchmark run, printing the end-to-end metrics
+# as JSON on the last line, e.g.
+#   make perf WORKLOAD=openloop-fleet SECONDS=35
+# WORKLOAD is fig7-serve, chaos-recover or openloop-fleet; see
+# perfbench/README.md for traced and held-out runs.
+WORKLOAD ?= openloop-fleet
+SECONDS ?= 35
+perf:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seconds $(SECONDS) --trace 0
 
 examples:
 	$(GO) run ./examples/quickstart

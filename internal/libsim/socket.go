@@ -93,6 +93,12 @@ func (c *Conn) ClientTake() []byte {
 // wrote. The undrained remainder keeps exerting backpressure exactly like
 // a real socket buffer: the server's writes still land, the client just
 // hasn't consumed them.
+//
+// The queue advances by reslicing, so a drain costs O(1) whatever the
+// backlog. The returned bytes alias the drained prefix of the queue's
+// backing array; nothing writes there again (writes append past the
+// queue's end, truncation only shortens it), and the capacity is capped
+// so an append by the caller copies instead of reaching into the queue.
 func (c *Conn) ClientTakeN(n int) []byte {
 	if n <= 0 || len(c.out) == 0 {
 		return nil
@@ -100,8 +106,8 @@ func (c *Conn) ClientTakeN(n int) []byte {
 	if n >= len(c.out) {
 		return c.ClientTake()
 	}
-	out := append([]byte(nil), c.out[:n]...)
-	c.out = append(c.out[:0], c.out[n:]...)
+	out := c.out[:n:n]
+	c.out = c.out[n:]
 	return out
 }
 

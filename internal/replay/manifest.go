@@ -351,6 +351,9 @@ func Load(path string) (Recording, error) {
 	default:
 		return rec, fmt.Errorf("replay: %s: unknown manifest kind %q", path, man.Kind)
 	}
+	if err := man.Schedule.Validate(); err != nil {
+		return rec, fmt.Errorf("replay: %s: schedule.%v", path, err)
+	}
 	if _, err := ParseFingerprint(man.Fingerprint); err != nil {
 		return rec, fmt.Errorf("replay: %s: %v", path, err)
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"github.com/firestarter-go/firestarter/internal/libsim"
@@ -186,15 +187,66 @@ type openArrival struct {
 // from the client's own rng; connections come and go underneath it.
 type openClient struct {
 	id       int
+	idx      int // first-touch index (position in clientSet.all)
 	rng      *rand.Rand
 	conn     *libsim.Conn
 	queue    []*openArrival // offered, not yet fully delivered (FIFO)
 	inflight []*openArrival // delivered, awaiting response (FIFO)
 	resp     []byte         // drained, not yet matched response bytes
+	framed   int            // len(resp) when Split last found no complete response
 	fragLeft []byte         // undelivered tail of queue[0]
 	last     int64          // trace of the most recently delivered request
 	slow     bool           // drains SlowBytes per round
 	churn    bool           // close the connection after the next drain
+}
+
+// idle reports a client with nothing to deliver, await or drain: every
+// per-round loop of RunOpen skips it.
+func (c *openClient) idle() bool {
+	return len(c.queue) == 0 && len(c.inflight) == 0 && len(c.fragLeft) == 0 && c.conn == nil
+}
+
+// clientSet holds every client touched so far in first-touch order, plus
+// a bitset over that order marking the ones that may be active. A 20k
+// population is almost entirely idle at any moment, so the per-round
+// loops walk the bitset instead of the population: a walk costs one word
+// per 64 clients plus the active ones, and lowest-bit-first order is
+// first-touch order by construction.
+type clientSet struct {
+	all  []*openClient
+	live []uint64
+}
+
+// add appends a newly touched client.
+func (s *clientSet) add(c *openClient) {
+	c.idx = len(s.all)
+	s.all = append(s.all, c)
+	if c.idx>>6 == len(s.live) {
+		s.live = append(s.live, 0)
+	}
+}
+
+// wake marks c active; an arrival calls it.
+func (s *clientSet) wake(c *openClient) { s.live[c.idx>>6] |= 1 << (c.idx & 63) }
+
+// next returns the first active client at first-touch index i or later,
+// or nil. Idle clients it passes leave the set until their next arrival;
+// one that goes idle after being returned leaves on the next walk.
+func (s *clientSet) next(i int) *openClient {
+	for w := i >> 6; w < len(s.live); w++ {
+		word := s.live[w]
+		if w == i>>6 {
+			word &^= 1<<(i&63) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			c := s.all[w<<6|bits.TrailingZeros64(word)]
+			if !c.idle() {
+				return c
+			}
+			s.live[w] &^= 1 << (c.idx & 63)
+		}
+	}
+	return nil
 }
 
 // RunOpen drives the server open-loop. It shares every seam with Run —
@@ -250,7 +302,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		queued    int // undelivered arrivals across all clients
 		conns     int
 		nextTrace = d.TraceBase
-		clis      []*openClient
+		clis      clientSet
 		byID      = map[int]*openClient{}
 	)
 
@@ -280,12 +332,13 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 			c := byID[id]
 			if c == nil {
 				c = &openClient{id: id, rng: rand.New(rand.NewSource(d.Seed ^ int64(id)))}
-				if cfg.SlowEvery > 0 && (len(clis)+1)%cfg.SlowEvery == 0 {
+				if cfg.SlowEvery > 0 && (len(clis.all)+1)%cfg.SlowEvery == 0 {
 					c.slow = true
 				}
 				byID[id] = c
-				clis = append(clis, c)
+				clis.add(c)
 			}
+			clis.wake(c)
 			a := &openArrival{at: nextAt, idx: offered}
 			a.req = d.Gen.Next(id, c.rng)
 			if cfg.FragmentEvery > 0 && (offered+1)%cfg.FragmentEvery == 0 && len(a.req) > cfg.FragSize {
@@ -309,7 +362,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 
 		// Deliver what the connection rules allow, in first-touch client
 		// order (deterministic).
-		for _, c := range clis {
+		for c := clis.next(0); c != nil; c = clis.next(c.idx + 1) {
 			if len(c.queue) == 0 && len(c.inflight) == 0 {
 				continue
 			}
@@ -321,7 +374,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 					lose(a, "conn-closed")
 				}
 				c.inflight = c.inflight[:0]
-				c.resp = nil
+				c.resp, c.framed = nil, 0
 				if len(c.fragLeft) > 0 {
 					// queue[0] was half-delivered; its prefix died with
 					// the connection.
@@ -398,7 +451,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		}
 
 		// Drain and match responses; apply churn and idle-close.
-		for _, c := range clis {
+		for c := clis.next(0); c != nil; c = clis.next(c.idx + 1) {
 			if c.conn == nil {
 				continue
 			}
@@ -409,18 +462,22 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 				out = c.conn.ClientTake()
 			}
 			if len(out) > 0 {
-				c.resp = append(c.resp, out...)
+				c.resp = appendResp(c.resp, out)
 				progressed = true
 			}
-			for len(c.inflight) > 0 {
+			// Split is a pure function of the buffer, and the buffer only
+			// grows between matches: re-frame only when bytes arrived
+			// since Split last came up short.
+			for len(c.inflight) > 0 && len(c.resp) > c.framed {
 				n := d.Gen.Split(c.resp)
 				if n == 0 {
+					c.framed = len(c.resp)
 					break
 				}
 				a := c.inflight[0]
 				c.inflight = c.inflight[1:]
 				resp := c.resp[:n]
-				c.resp = append([]byte(nil), c.resp[n:]...)
+				c.resp, c.framed = consumeResp(c.resp, n), 0
 				okResp := d.Gen.Check(a.req, resp)
 				if okResp {
 					res.Completed++
@@ -452,7 +509,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 		}
 
 		// Patience: the oldest undelivered arrivals abandon the queue.
-		for _, c := range clis {
+		for c := clis.next(0); c != nil; c = clis.next(c.idx + 1) {
 			for len(c.queue) > 0 && len(c.fragLeft) == 0 {
 				a := c.queue[0]
 				if now-a.at <= cfg.Patience {
@@ -500,7 +557,7 @@ func (d *Driver) RunOpen(cfg OpenConfig) OpenResult {
 	case res.Stalled:
 		cause = "stalled"
 	}
-	for _, c := range clis {
+	for _, c := range clis.all {
 		for _, a := range c.inflight {
 			res.Outstanding++
 			lose(a, cause)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -304,4 +305,43 @@ int main() {
 		t.Error("no requests were in flight at the stall")
 	}
 	checkOpenIdentity(t, res)
+}
+
+// TestClientSetWalksActiveInFirstTouchOrder checks the active-client
+// bitset against a scan over every client: across random arrivals and
+// clients going idle (on both sides of the 64-bit word boundaries), a
+// walk visits exactly the non-idle clients, in first-touch order.
+func TestClientSetWalksActiveInFirstTouchOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var s clientSet
+	arrival := &openArrival{}
+	for round := 0; round < 300; round++ {
+		// Touch new clients or wake existing ones with an arrival.
+		for k := rng.Intn(4); k > 0; k-- {
+			if len(s.all) == 0 || rng.Intn(3) == 0 {
+				s.add(&openClient{})
+			}
+			c := s.all[rng.Intn(len(s.all))]
+			c.queue = append(c.queue, arrival)
+			s.wake(c)
+		}
+		var want, got []int
+		for _, c := range s.all {
+			if !c.idle() {
+				want = append(want, c.idx)
+			}
+		}
+		for c := s.next(0); c != nil; c = s.next(c.idx + 1) {
+			got = append(got, c.idx)
+			if rng.Intn(3) == 0 {
+				c.queue = nil // goes idle mid-walk; still visited this once
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d (%d clients): walk %v, want %v", round, len(s.all), got, want)
+		}
+	}
+	if len(s.all) <= 128 {
+		t.Fatalf("only %d clients touched; the walk never crossed two word boundaries", len(s.all))
+	}
 }

@@ -1,5 +1,7 @@
 package workload
 
+import "fmt"
+
 // Schedule is the serializable description of the workload a recorded
 // run consumed — enough, together with the program and fault plan, to
 // re-drive the identical run (the cycle domain is deterministic, so
@@ -48,4 +50,32 @@ func (sc Schedule) Driver() Driver {
 		StallCycles: sc.StallCycles,
 		TraceBase:   sc.TraceBase,
 	}
+}
+
+// Validate rejects a schedule no driver run could have recorded: a
+// negative request count, concurrency or open-loop size. Zero stays
+// legal, since it records "use the driver default". The error names the
+// offending field by its JSON path within the schedule.
+func (sc Schedule) Validate() error {
+	type field struct {
+		name string
+		v    int
+	}
+	fields := []field{{"requests", sc.Requests}, {"concurrency", sc.Concurrency}}
+	if o := sc.Open; o != nil {
+		fields = append(fields,
+			field{"open.total", o.Total},
+			field{"open.clients", o.Clients},
+			field{"open.max_conns", o.MaxConns},
+			field{"open.pipeline_depth", o.PipelineDepth},
+			field{"open.slow_bytes", o.SlowBytes},
+			field{"open.frag_size", o.FragSize},
+		)
+	}
+	for _, f := range fields {
+		if f.v < 0 {
+			return fmt.Errorf("%s is %d, must not be negative", f.name, f.v)
+		}
+	}
+	return nil
 }

@@ -296,7 +296,7 @@ func (d *Driver) Run(total int) Result {
 				continue
 			}
 			if out := c.conn.ClientTake(); len(out) > 0 {
-				c.resp = append(c.resp, out...)
+				c.resp = appendResp(c.resp, out)
 				progressed = true
 			}
 			for c.pending {
@@ -305,7 +305,7 @@ func (d *Driver) Run(total int) Result {
 					break
 				}
 				resp := c.resp[:n]
-				c.resp = append([]byte(nil), c.resp[n:]...)
+				c.resp = consumeResp(c.resp, n)
 				ok := d.Gen.Check(c.req, resp)
 				if ok {
 					res.Completed++
@@ -454,6 +454,27 @@ func (d *Driver) slice(res *Result) (ok, busy bool) {
 	}
 }
 
+// appendResp adds bytes drained from a conn to a client's response
+// buffer. A conn never writes to bytes it has handed out, so an empty
+// buffer adopts them without a copy.
+func appendResp(buf, out []byte) []byte {
+	if len(buf) == 0 {
+		return out
+	}
+	return append(buf, out...)
+}
+
+// consumeResp drops a matched n-byte response from the front of buf by
+// reslicing. The matched bytes stay valid until the caller is done with
+// them: later appends land past the remainder's end. An emptied buffer is
+// released, so an idle client holds no response bytes.
+func consumeResp(buf []byte, n int) []byte {
+	if n >= len(buf) {
+		return nil
+	}
+	return buf[n:]
+}
+
 // --- HTTP ---------------------------------------------------------------------
 
 // HTTPPath describes one weighted request target.
@@ -515,7 +536,11 @@ func (g *HTTPGen) Split(buf []byte) int {
 	}
 	bodyStart := head + 4
 	cl := 0
-	for _, line := range bytes.Split(buf[:head], []byte("\r\n")) {
+	// Walk the header lines in place; the last Content-Length wins and a
+	// malformed one means no complete response.
+	for rest, more := buf[:head], true; more; {
+		var line []byte
+		line, rest, more = bytes.Cut(rest, []byte("\r\n"))
 		if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
 			n, err := strconv.Atoi(string(v))
 			if err != nil {
