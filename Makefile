@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-smoke obsv-smoke chaos-smoke trace-smoke fleet-smoke openloop-smoke domains-smoke diff-smoke replay-smoke perf-test perf eval examples cover clean
+.PHONY: all build test vet bench bench-smoke obsv-smoke chaos-smoke trace-smoke fleet-smoke openloop-smoke domains-smoke diff-smoke replay-smoke micro-smoke perf-test perf eval examples cover clean
 
 all: build vet test
 
@@ -199,6 +199,13 @@ replay-smoke:
 			> /dev/null || exit 1; \
 	done
 	@echo replay-smoke OK
+
+# Layer microbenchmark smoke: every Benchmark* under internal/ runs once
+# (one iteration, no timing claims), so the per-layer microbenchmarks
+# keep compiling and running as the code under them changes.
+micro-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+	@echo micro-smoke OK
 
 # The host-side benchmark's own tests. perfbench is a separate Go module,
 # so the root `go test ./...` never reaches it: this runs its pins and

@@ -126,6 +126,11 @@ func (r Runner) Chaos() (ChaosResult, error) {
 	rowIdx := map[string]int{}
 	var clock, traceBase int64
 	recIdx := 0
+	nspans := 0
+	for _, lr := range runs {
+		nspans += len(lr.Spans)
+	}
+	out.Spans = make([]obsv.SpanEvent, 0, nspans)
 	for i, j := range jobs {
 		lr := runs[i]
 		// Flight-recorder output rides the same job-order reduction, so

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -153,5 +155,45 @@ func TestLadderCountsBreakerResidualAsFailed(t *testing.T) {
 	}
 	if errs := lr.reconcile(); len(errs) > 0 {
 		t.Errorf("accounting did not reconcile:\n  %s", strings.Join(errs, "\n  "))
+	}
+}
+
+// TestMergeSpansMatchesStableSort checks the one-pass incarnation merge
+// against its definition: the incarnations' spans concatenated, then the
+// supervisor's spans merged in by cycle with runtime spans first on ties
+// — a stable sort by cycle of the two streams laid end to end.
+func TestMergeSpansMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		var incs [][]obsv.SpanEvent
+		var want []obsv.SpanEvent
+		clock := int64(0)
+		for k := rng.Intn(4); k > 0; k-- {
+			inc := make([]obsv.SpanEvent, rng.Intn(6))
+			for i := range inc {
+				clock += int64(rng.Intn(3))
+				inc[i] = obsv.SpanEvent{Cycles: clock, Kind: obsv.SpanCommit, Site: len(want)}
+				want = append(want, inc[i])
+			}
+			incs = append(incs, inc)
+		}
+		sup := make([]obsv.SpanEvent, rng.Intn(5))
+		c := int64(0)
+		for i := range sup {
+			c += int64(rng.Intn(int(clock/2) + 2))
+			sup[i] = obsv.SpanEvent{Cycles: c, Kind: obsv.SpanReboot, Site: i}
+		}
+		want = append(want, sup...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Cycles < want[j].Cycles })
+
+		got := mergeSpans(incs, sup)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d spans, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: span %d = %+v, want %+v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -98,6 +98,9 @@ func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*lad
 		unrec bool
 	}
 	var recCands []incCand
+	// Each incarnation's rebased spans, in incarnation (and so cycle)
+	// order; merged with the supervisor's once the campaign ends.
+	var incSpans [][]obsv.SpanEvent
 
 	err := sup.Supervise(func(inc int, seed int64) (supervisor.RunResult, error) {
 		if remaining <= 0 {
@@ -166,11 +169,13 @@ func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*lad
 				lr.Taints += int64(len(taints))
 				lr.Leaks = append(lr.Leaks, faultinj.CheckReach(taints)...)
 			}
-			for _, e := range inst.rt.Spans() {
-				e.Cycles += offset
-				e.Seq = 0
-				lr.Spans = append(lr.Spans, e)
+			// Spans returns a fresh copy: rebase it in place and keep it.
+			spans := inst.rt.Spans()
+			for i := range spans {
+				spans[i].Cycles += offset
+				spans[i].Seq = 0
 			}
+			incSpans = append(incSpans, spans)
 			lr.Dropped += inst.rt.TraceDropped()
 			inst.rt.PublishMetrics(lr.Registry)
 			if r.RecordDir != "" {
@@ -221,7 +226,7 @@ func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*lad
 		lr.Failed += remaining
 	}
 	sup.PublishMetrics(lr.Registry)
-	lr.Spans = mergeSpans(lr.Spans, sup.Spans())
+	lr.Spans = mergeSpans(incSpans, sup.Spans())
 	// Keep the failing incarnations' recordings: every unrecovered one,
 	// plus the final incarnation when the crash-loop breaker gave up.
 	for i := range recCands {
@@ -239,23 +244,31 @@ func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*lad
 	return lr, nil
 }
 
-// mergeSpans merges two cycle-ordered span slices, preferring a's events
-// on ties (runtime events precede the supervisor's verdict about them).
-func mergeSpans(a, b []obsv.SpanEvent) []obsv.SpanEvent {
-	out := make([]obsv.SpanEvent, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].Cycles < a[i].Cycles {
-			out = append(out, b[j])
-			j++
-		} else {
+// mergeSpans merges the runtime spans — the concatenation of incs, which
+// is cycle-ordered — with the cycle-ordered supervisor spans b, preferring
+// runtime events on ties (they precede the supervisor's verdict about
+// them). It copies once, into an exactly sized slice, and not at all for
+// a single incarnation with no supervisor spans.
+func mergeSpans(incs [][]obsv.SpanEvent, b []obsv.SpanEvent) []obsv.SpanEvent {
+	if len(incs) == 1 && len(b) == 0 {
+		return incs[0]
+	}
+	n := len(b)
+	for _, a := range incs {
+		n += len(a)
+	}
+	out := make([]obsv.SpanEvent, 0, n)
+	j := 0
+	for _, a := range incs {
+		for i := range a {
+			for j < len(b) && b[j].Cycles < a[i].Cycles {
+				out = append(out, b[j])
+				j++
+			}
 			out = append(out, a[i])
-			i++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return append(out, b[j:]...)
 }
 
 // rung names the coarsest ladder rung the campaign escalated to — the

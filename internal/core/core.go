@@ -414,7 +414,7 @@ func New(tr *transform.Result, os *libsim.OS, cfg Config) *Runtime {
 		os.SetArenaHooks(
 			func(dom int32) {
 				rt.stats.DomainSwitches++
-				rt.emitSpan(obsv.SpanDomainSwitch, 0, "", "", fmt.Sprintf("dom=%d", dom))
+				rt.emitSpan(obsv.SpanDomainSwitch, 0, "", "", "dom=%d", int64(dom))
 			},
 			func(dom int32) { rt.stats.DomainRetires++ },
 		)
@@ -720,7 +720,7 @@ func (rt *Runtime) inject(m *interp.Machine, siteID int) int64 {
 	if !entry.ErrnoDirect {
 		rt.os.Errno = entry.Errno
 	}
-	rt.emit(EvInject, siteID, fmt.Sprintf("ret=%d errno=%d", entry.ErrorReturn, entry.Errno))
+	rt.emit(EvInject, siteID, "ret=%d errno=%d", entry.ErrorReturn, entry.Errno)
 	return entry.ErrorReturn
 }
 
@@ -736,7 +736,10 @@ func (rt *Runtime) TxBegin(m *interp.Machine, siteID int, variant int64) error {
 	}
 	if rt.pending.raw {
 		// HTM-only fallback: run unprotected (no recovery guarantee).
+		// Nothing will restore the gate's snapshot.
 		rt.pending.raw = false
+		m.ReleaseSnapshot(rt.pending.snap)
+		rt.pending.snap = nil
 		rt.stats.Unprotected++
 		rt.cur = nil
 		rt.curVariant = ir.TxHTM
@@ -779,6 +782,7 @@ func (rt *Runtime) TxBegin(m *interp.Machine, siteID int, variant int64) error {
 	}
 	rt.cur = tx
 	rt.curVariant = variant
+	rt.pending.snap = nil // the transaction owns it now
 	if rt.spanAll {
 		rt.emitSpan(obsv.SpanBegin, tx.site, txVariantName(tx), "", "")
 	}
@@ -832,6 +836,8 @@ func (rt *Runtime) TxEnd(m *interp.Machine) error {
 		rt.stmCommitPolicy(tx.site, entries)
 	}
 	rt.cur = nil
+	m.ReleaseSnapshot(tx.snap)
+	tx.snap = nil
 	if rt.spanAll {
 		rt.emitSpan(obsv.SpanCommit, tx.site, txVariantName(tx), "", "")
 	}
@@ -886,8 +892,7 @@ func (rt *Runtime) stmCommitPolicy(site int, entries int64) {
 	if mean := st.stmUndo / st.stmTxs; mean >= rt.undoMin(st) {
 		st.domLatched = true
 		rt.stats.DomainLatches++
-		rt.emit(EvLatchDomains, site,
-			fmt.Sprintf("undo_mean=%d min=%d", mean, rt.undoMin(st)))
+		rt.emit(EvLatchDomains, site, "undo_mean=%d min=%d", mean, rt.undoMin(st))
 	}
 }
 
@@ -914,7 +919,7 @@ func (rt *Runtime) domCommitPolicy(tx *txState) {
 	st.stmTxs, st.stmUndo = 0, 0
 	st.stmLatched = true
 	rt.emitSpan(obsv.SpanLatchSTM, tx.site, "", "backoff",
-		fmt.Sprintf("fallbacks=%d undo_min=%d", rt.cfg.DomainBackoffMax, st.undoMin))
+		"fallbacks=%d undo_min=%d", int64(rt.cfg.DomainBackoffMax), st.undoMin)
 }
 
 // Store implements interp.Runtime.
@@ -1003,8 +1008,7 @@ func (rt *Runtime) Handle(m *interp.Machine, err error) interp.Action {
 		return interp.ActionBlock
 	}
 
-	var abortErr *htm.AbortError
-	if errors.As(err, &abortErr) {
+	if abortErr, ok := asError[*htm.AbortError](err); ok {
 		return rt.handleHTMAbort(m, abortErr.Cause)
 	}
 
@@ -1017,11 +1021,23 @@ func (rt *Runtime) Handle(m *interp.Machine, err error) interp.Action {
 // trap (ir.TrapDomain) — the fail-stop crash cause heap domains introduce
 // so fail-silent corruption is contained instead of spreading.
 func domainViolation(err error) (int64, bool) {
-	var trap *interp.Trap
-	if errors.As(err, &trap) && trap.Code == ir.TrapDomain {
+	if trap, ok := asError[*interp.Trap](err); ok && trap.Code == ir.TrapDomain {
 		return trap.Addr, true
 	}
 	return 0, false
+}
+
+// asError is errors.As for the runtime's crash path: traps and aborts
+// reach Handle unwrapped, so a direct type assertion settles almost every
+// call, and errors.As (reflection plus a heap-allocated target) runs only
+// for wrapped errors.
+func asError[T error](err error) (T, bool) {
+	if e, ok := err.(T); ok {
+		return e, true
+	}
+	var e T
+	ok := errors.As(err, &e)
+	return e, ok
 }
 
 // noteViolation counts and records a cross-domain trap. The violation
@@ -1031,7 +1047,16 @@ func domainViolation(err error) (int64, bool) {
 func (rt *Runtime) noteViolation(site int, addr int64) {
 	rt.stats.DomainViolations++
 	rt.emitSpan(obsv.SpanDomainViolation, site, "", "",
-		fmt.Sprintf("addr=%#x dom=%d", addr, rt.os.Space.CurrentDomain()))
+		"addr=%#x dom=%d", addr, int64(rt.os.Space.CurrentDomain()))
+}
+
+// restoreTx rewinds the machine to the transaction's gate snapshot and
+// hands the snapshot back to the machine: execution resumes at the gate,
+// which takes a fresh one.
+func (rt *Runtime) restoreTx(m *interp.Machine, tx *txState) {
+	m.Restore(tx.snap)
+	m.ReleaseSnapshot(tx.snap)
+	tx.snap = nil
 }
 
 // handleHTMAbort processes a capacity/interrupt abort: the hardware rolled
@@ -1044,7 +1069,7 @@ func (rt *Runtime) handleHTMAbort(m *interp.Machine, cause htm.AbortCause) inter
 	}
 	rt.noteHTMAbort(tx.site, cause)
 	rt.rollbackSideEffects(tx)
-	m.Restore(tx.snap)
+	rt.restoreTx(m, tx)
 	m.Cycles += costHTMAbort
 	rt.cur = nil
 
@@ -1067,7 +1092,7 @@ func (rt *Runtime) noteHTMAbort(site int, cause htm.AbortCause) {
 	}
 	rt.stats.HTMAborts++
 	rt.emitSpan(obsv.SpanAbort, site, "htm", cause.String(),
-		fmt.Sprintf("aborts=%d execs=%d", st.htmAborts, st.execs))
+		"aborts=%d execs=%d", st.htmAborts, st.execs)
 	if rt.cfg.Mode == ModeHybrid && st.htmAborts%rt.cfg.SampleSize == 0 {
 		if float64(st.htmAborts)/float64(st.execs) > rt.cfg.Threshold {
 			if rt.cfg.EnableDomains && !st.domLatched && st.capAborts*2 >= st.htmAborts {
@@ -1078,7 +1103,7 @@ func (rt *Runtime) noteHTMAbort(site int, cause htm.AbortCause) {
 				st.domLatched = true
 				rt.stats.DomainLatches++
 				rt.emit(EvLatchDomains, site,
-					fmt.Sprintf("cap_aborts=%d aborts=%d", st.capAborts, st.htmAborts))
+					"cap_aborts=%d aborts=%d", st.capAborts, st.htmAborts)
 				return
 			}
 			if !st.stmLatched {
@@ -1125,7 +1150,7 @@ func (rt *Runtime) shed(m *interp.Machine, site int, reason string) interp.Actio
 	}
 	rt.markTouched(trace)
 	rt.emitSpanTrace(obsv.SpanShed, site, trace, "", reason,
-		fmt.Sprintf("fd=%d sheds=%d", fd, rt.stats.Sheds))
+		"fd=%d sheds=%d", fd, rt.stats.Sheds)
 	return interp.ActionContinue
 }
 
@@ -1159,7 +1184,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 		tx.htmTx.Abort(htm.AbortExplicit)
 		rt.noteHTMAbort(tx.site, htm.AbortExplicit)
 		rt.rollbackSideEffects(tx)
-		m.Restore(tx.snap)
+		rt.restoreTx(m, tx)
 		m.Cycles += costHTMAbort
 		rt.cur = nil
 		if rt.cfg.Mode == ModeHTMOnly {
@@ -1192,12 +1217,12 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 			mark = 0 // the arena opened inside the transaction: discard it all
 		}
 		rt.os.ArenaTxRewind(mark)
-		m.Restore(tx.snap)
+		rt.restoreTx(m, tx)
 		m.Cycles += costSignal + costDomainDiscard
 		rt.cur = nil
 		rt.stats.DomainDiscards++
 		rt.emitSpan(obsv.SpanDomainDiscard, tx.site, "domain", "",
-			fmt.Sprintf("dom=%d mark=%d", dom, mark))
+			"dom=%d mark=%d", int64(dom), mark)
 	} else {
 		rt.emitSpan(obsv.SpanCrash, tx.site, "stm", cause, "")
 		undone, rerr := rt.undo.Rollback()
@@ -1215,7 +1240,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 			rt.domain.ReleaseLock(rt.tid)
 		}
 		rt.rollbackSideEffects(tx)
-		m.Restore(tx.snap)
+		rt.restoreTx(m, tx)
 		m.Cycles += costSignal
 		rt.cur = nil
 	}
@@ -1231,7 +1256,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 			st.oneShotSTM = true
 		}
 		rt.stats.Retries++
-		rt.emit(EvRetry, tx.site, fmt.Sprintf("attempt=%d", st.crashes))
+		rt.emit(EvRetry, tx.site, "attempt=%d", int64(st.crashes))
 	default:
 		// Persistent: inject a fault at the gate, if the site allows it
 		// and we have not already diverted this episode. When injection is
@@ -1256,7 +1281,7 @@ func (rt *Runtime) handleCrash(m *interp.Machine, err error) interp.Action {
 	if len(rt.stats.LatencyCycles) < maxLatencySamples {
 		rt.stats.LatencyCycles = append(rt.stats.LatencyCycles, lat)
 	}
-	rt.emit(EvRecovered, tx.site, fmt.Sprintf("latency=%d", lat))
+	rt.emit(EvRecovered, tx.site, "latency=%d", lat)
 	return interp.ActionContinue
 }
 

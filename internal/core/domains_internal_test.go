@@ -7,6 +7,7 @@ package core
 // counts; the crash tests drive the real Gate/TxBegin/handleCrash path.
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/firestarter-go/firestarter/internal/htm"
@@ -244,6 +245,28 @@ func TestSnapshotRestoreDuringDomainArmedTransaction(t *testing.T) {
 	s = rt.Stats()
 	if s.DomainBegins != 2 || s.DomainCommits != 1 || s.DomainDiscards != 1 {
 		t.Fatalf("begins=%d commits=%d discards=%d, want 2/1/1", s.DomainBegins, s.DomainCommits, s.DomainDiscards)
+	}
+}
+
+// TestDomainViolationMatchesWrappedTraps: domainViolation takes traps
+// straight off the crash path and wrapped ones through errors.As; both
+// must match, and nothing else may.
+func TestDomainViolationMatchesWrappedTraps(t *testing.T) {
+	trap := &interp.Trap{Code: ir.TrapDomain, Addr: 0x6000_0040}
+	for _, err := range []error{trap, fmt.Errorf("libcall: %w", trap)} {
+		if addr, ok := domainViolation(err); !ok || addr != trap.Addr {
+			t.Errorf("domainViolation(%v) = %#x, %v; want %#x, true", err, addr, ok, trap.Addr)
+		}
+	}
+	for _, err := range []error{
+		nil,
+		&interp.Trap{Code: ir.TrapBadAccess, Addr: 8},
+		fmt.Errorf("libcall: %w", &interp.Trap{Code: ir.TrapBadAccess}),
+		&htm.AbortError{Cause: htm.AbortCapacity},
+	} {
+		if addr, ok := domainViolation(err); ok {
+			t.Errorf("domainViolation(%v) = %#x, true; want no match", err, addr)
+		}
 	}
 }
 

@@ -224,7 +224,8 @@ func variantName(variant int64) string {
 }
 
 // emit records a basic trace event (no-op unless EnableTrace was called).
-func (rt *Runtime) emit(kind EventKind, site int, detail string) {
+// detail and args are as for emitSpanTrace.
+func (rt *Runtime) emit(kind EventKind, site int, detail string, args ...int64) {
 	if !rt.tracing {
 		return
 	}
@@ -251,14 +252,14 @@ func (rt *Runtime) emit(kind EventKind, site int, detail string) {
 	default:
 		return
 	}
-	rt.emitSpan(k, site, "", "", detail)
+	rt.emitSpan(k, site, "", "", detail, args...)
 }
 
 // emitSpan records one structured span event, attaching the trace ID of
 // the request currently being served (the serving connection's active
 // trace). Recovery-machinery kinds additionally mark that trace as
 // touched-by-recovery so the driver can split latency clean vs recovered.
-func (rt *Runtime) emitSpan(kind string, site int, variant, cause, detail string) {
+func (rt *Runtime) emitSpan(kind string, site int, variant, cause, detail string, args ...int64) {
 	if !rt.tracing {
 		return
 	}
@@ -269,7 +270,7 @@ func (rt *Runtime) emitSpan(kind string, site int, variant, cause, detail string
 	if trace != 0 && recoveryKind(kind) {
 		rt.markTouched(trace)
 	}
-	rt.emitSpanTrace(kind, site, trace, variant, cause, detail)
+	rt.emitSpanTrace(kind, site, trace, variant, cause, detail, args...)
 }
 
 // recoveryKind reports whether a span kind marks recovery machinery
@@ -320,10 +321,22 @@ func (rt *Runtime) TouchedTraces() []int64 {
 // emitSpanTrace records one structured span event with an explicit trace
 // ID. The call name resolves through rt.gates first and falls back to the
 // full site table, so events at embed/break sites carry their
-// library-call name too.
-func (rt *Runtime) emitSpanTrace(kind string, site int, trace int64, variant, cause, detail string) {
+// library-call name too. With args, detail is a fmt format over them;
+// it is rendered only when the log will store the span, so a crash storm
+// past TraceLimit formats nothing (the dropped span is still appended,
+// to be counted).
+func (rt *Runtime) emitSpanTrace(kind string, site int, trace int64, variant, cause, detail string, args ...int64) {
 	if !rt.tracing {
 		return
+	}
+	if rt.spans.Full() {
+		detail = ""
+	} else if len(args) > 0 {
+		vals := make([]any, len(args))
+		for i, a := range args {
+			vals[i] = a
+		}
+		detail = fmt.Sprintf(detail, vals...)
 	}
 	call := ""
 	if s := rt.gates[site]; s != nil {

@@ -99,7 +99,7 @@ func (b *bytecodeBackend) fail(m *Machine, err error, co TickCoalescer, tickLive
 	default:
 		var trap *Trap
 		if !errors.As(err, &trap) {
-			trap = &Trap{Code: ir.TrapBadAccess, PC: m.pcString()}
+			trap = m.trapHere(ir.TrapBadAccess, 0)
 			if ae := (*mem.AccessError)(nil); errors.As(err, &ae) {
 				trap.Addr = ae.Addr
 			}

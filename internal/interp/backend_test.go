@@ -101,7 +101,7 @@ func compareOutcomes(t *testing.T, stage string, ot, ob interp.Outcome) {
 	if (ot.Trap == nil) != (ob.Trap == nil) {
 		t.Fatalf("%s: trap presence diverged", stage)
 	}
-	if ot.Trap != nil && (ot.Trap.Code != ob.Trap.Code || ot.Trap.Addr != ob.Trap.Addr || ot.Trap.PC != ob.Trap.PC) {
+	if ot.Trap != nil && (ot.Trap.Code != ob.Trap.Code || ot.Trap.Addr != ob.Trap.Addr || ot.Trap.Error() != ob.Trap.Error()) {
 		t.Fatalf("%s: traps diverged: tree %v, bytecode %v", stage, ot.Trap, ob.Trap)
 	}
 }

@@ -38,16 +38,27 @@ const (
 	CostLibBase = 30 // syscall/library-call entry overhead
 )
 
-// Trap describes a fail-stop crash.
+// Trap describes a fail-stop crash. A trap raised at an instruction
+// records its position (function, block, index) and renders it as
+// "fn.bB.I" only when Error is called: the recovery runtime absorbs
+// most traps without ever printing them. PC holds a free-form position
+// for traps that are not at an instruction (stack or argument overflow).
 type Trap struct {
 	Code int64 // one of the ir.Trap* codes
 	Addr int64 // faulting address for TrapBadAccess
 	PC   string
+
+	fn       string // function of the trapping instruction ("" = use PC)
+	blk, idx int
 }
 
 // Error implements error.
 func (t *Trap) Error() string {
-	return fmt.Sprintf("trap %d at %s (addr %#x)", t.Code, t.PC, t.Addr)
+	pc := t.PC
+	if t.fn != "" {
+		pc = posString(t.fn, t.blk, t.idx)
+	}
+	return fmt.Sprintf("trap %d at %s (addr %#x)", t.Code, pc, t.Addr)
 }
 
 // Action tells the machine how to proceed after the runtime handled an
@@ -151,9 +162,12 @@ type Frame struct {
 	RetDst int
 }
 
-// Snapshot captures resumable machine state for rollback.
+// Snapshot captures resumable machine state for rollback. regs is the one
+// backing array all frames' register copies slice into; it and frames
+// are reused when the snapshot is released and taken again.
 type Snapshot struct {
 	frames []Frame
+	regs   []int64
 	sp     int64
 }
 
@@ -233,6 +247,12 @@ type Machine struct {
 	// registers, and doReturn/Restore nil out the frame slots they pop so
 	// no stale Frame struct can alias a pooled slice.
 	regPool [][]int64
+
+	// snapFree holds released snapshots (see ReleaseSnapshot) whose
+	// frames and register backing the next Snapshot reuses. A gate's
+	// snapshot dies at its transaction's commit or rollback, so a crash
+	// storm would otherwise allocate a fresh copy of the stack per gate.
+	snapFree []*Snapshot
 
 	// prof, when non-nil, observes call flow for the guest profiler;
 	// profNames is its reused stack-name scratch buffer.
@@ -415,7 +435,12 @@ func (m *Machine) pcString() string {
 		return "<no frame>"
 	}
 	f := &m.frames[len(m.frames)-1]
-	return fmt.Sprintf("%s.b%d.%d", f.Fn.Name, f.Blk, f.Idx)
+	return posString(f.Fn.Name, f.Blk, f.Idx)
+}
+
+// posString renders an instruction position as "fn.bB.I".
+func posString(fn string, blk, idx int) string {
+	return fmt.Sprintf("%s.b%d.%d", fn, blk, idx)
 }
 
 // allocRegs returns a zeroed register file of size n, reusing a pooled
@@ -490,14 +515,31 @@ func (m *Machine) push(fn *ir.Func, args []int64, retDst int) error {
 
 // Snapshot deep-copies the resumable machine state. All frames' register
 // copies share one backing array: snapshots are taken on every gate, so
-// the allocation count per snapshot matters more than layout.
+// the allocation count per snapshot matters more than layout. A released
+// snapshot's storage is reused, so in steady state this allocates
+// nothing.
 func (m *Machine) Snapshot() *Snapshot {
 	total := 0
 	for i := range m.frames {
 		total += len(m.frames[i].Regs)
 	}
-	backing := make([]int64, total)
-	s := &Snapshot{sp: m.sp, frames: make([]Frame, len(m.frames))}
+	var s *Snapshot
+	if k := len(m.snapFree); k > 0 {
+		s = m.snapFree[k-1]
+		m.snapFree[k-1] = nil
+		m.snapFree = m.snapFree[:k-1]
+	} else {
+		s = &Snapshot{}
+	}
+	if cap(s.regs) < total {
+		s.regs = make([]int64, total)
+	}
+	if cap(s.frames) < len(m.frames) {
+		s.frames = make([]Frame, len(m.frames))
+	}
+	backing := s.regs[:total]
+	s.frames = s.frames[:len(m.frames)]
+	s.sp = m.sp
 	off := 0
 	for i := range m.frames {
 		s.frames[i] = m.frames[i]
@@ -508,6 +550,23 @@ func (m *Machine) Snapshot() *Snapshot {
 		off += n
 	}
 	return s
+}
+
+// maxSnapFree bounds the released-snapshot free list. A machine has at
+// most one gate snapshot pending or live at a time, so a few slots cover
+// the steady state.
+const maxSnapFree = 4
+
+// ReleaseSnapshot hands a snapshot that will never be restored again back
+// to the machine, whose next Snapshot may reuse its storage. The caller
+// must drop every reference to s: using it after release observes
+// another snapshot's state. Snapshots that outlive their transaction
+// (the quiesce point, checkpoint ring entries, state dumps) are never
+// released. Releasing nil is a no-op.
+func (m *Machine) ReleaseSnapshot(s *Snapshot) {
+	if s != nil && len(m.snapFree) < maxSnapFree {
+		m.snapFree = append(m.snapFree, s)
+	}
 }
 
 // Restore rewinds the machine to a snapshot. The snapshot's frame data is
@@ -633,7 +692,7 @@ func (m *Machine) runTree(maxSteps int64) Outcome {
 		default:
 			var trap *Trap
 			if !errors.As(err, &trap) {
-				trap = &Trap{Code: ir.TrapBadAccess, PC: m.pcString()}
+				trap = m.trapHere(ir.TrapBadAccess, 0)
 				if ae := (*mem.AccessError)(nil); errors.As(err, &ae) {
 					trap.Addr = ae.Addr
 				}
@@ -647,9 +706,14 @@ func (m *Machine) runTree(maxSteps int64) Outcome {
 	}
 }
 
-// trapHere builds a Trap at the current position.
+// trapHere builds a Trap at the current position. It records the
+// position only; Error renders it.
 func (m *Machine) trapHere(code int64, addr int64) *Trap {
-	return &Trap{Code: code, Addr: addr, PC: m.pcString()}
+	if len(m.frames) == 0 {
+		return &Trap{Code: code, Addr: addr, PC: "<no frame>"}
+	}
+	f := &m.frames[len(m.frames)-1]
+	return &Trap{Code: code, Addr: addr, fn: f.Fn.Name, blk: f.Blk, idx: f.Idx}
 }
 
 // FrameInfo describes one live call-stack frame for forensics dumps.

@@ -54,9 +54,9 @@ func TestFingerprintDeterministicAndOrderSensitive(t *testing.T) {
 	}
 }
 
-// The truncated marker's Detail is rewritten in place as later events are
-// dropped; the chain must exclude it so the incremental value keeps
-// matching a batch recomputation over Events().
+// The truncated marker's Detail is rendered on read from a dropped count
+// that keeps growing; the chain must exclude it so the incremental value
+// keeps matching a batch recomputation over Events().
 func TestFingerprintStableAcrossTruncation(t *testing.T) {
 	l := SpanLog{Limit: 4}
 	for _, e := range fpEvents(10) {
@@ -69,7 +69,7 @@ func TestFingerprintStableAcrossTruncation(t *testing.T) {
 	if got := Fingerprint(l.Events()); got != after {
 		t.Errorf("batch %#x != incremental %#x after truncation", got, after)
 	}
-	// Further drops rewrite the marker Detail but never move the chain.
+	// Further drops change the marker Detail but never move the chain.
 	l.Append(SpanEvent{Kind: SpanCrash})
 	if l.Fingerprint() != after {
 		t.Error("dropped event moved the fingerprint")

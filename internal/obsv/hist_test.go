@@ -205,9 +205,12 @@ func TestHistUpperNearMaxDoesNotOverflow(t *testing.T) {
 
 // TestSpanLogMarkerStampedAtAppend is the regression test for the old
 // mutating-copy asymmetry: the truncated marker's Detail used to be
-// rewritten on every Events() call, so a reader could observe different
-// bytes depending on when it looked relative to concurrent Appends. The
-// marker is now stamped at append time and reads are pure copies.
+// rewritten in the log's storage by Events(), so what a reader saw
+// depended on who had read before it. The marker's Detail is now derived
+// on read from the dropped count and written only into the returned
+// copy: reads never mutate stored state, so two reads with no Append
+// between them see identical bytes, and each read reflects every drop
+// appended before it.
 func TestSpanLogMarkerStampedAtAppend(t *testing.T) {
 	l := &SpanLog{Limit: 2}
 	for i := 0; i < 4; i++ {
@@ -222,7 +225,7 @@ func TestSpanLogMarkerStampedAtAppend(t *testing.T) {
 	if first[len(first)-1] != second[len(second)-1] {
 		t.Errorf("Events() mutated the marker between reads")
 	}
-	// Further drops update the stored marker (at append time).
+	// Further drops show up in the next read's rendered marker.
 	l.Append(SpanEvent{Cycles: 9, Kind: SpanCrash})
 	third := l.Events()
 	if got := third[len(third)-1].Detail; got != "dropped=3 limit=2" {

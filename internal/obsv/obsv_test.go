@@ -103,6 +103,47 @@ func TestSpanLogTruncation(t *testing.T) {
 	}
 }
 
+// TestSpanLogDropNoAlloc gates the crash-storm fast path: an Append past
+// the cap only counts, so it must not allocate (the marker Detail is
+// rendered on read, not per drop).
+func TestSpanLogDropNoAlloc(t *testing.T) {
+	l := &SpanLog{Limit: 4}
+	e := SpanEvent{Cycles: 7, Kind: SpanCrash, Detail: "attempt=1"}
+	for i := 0; i < 6; i++ {
+		l.Append(e)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { l.Append(e) }); allocs != 0 {
+		t.Errorf("Append on a full log allocates %v times, want 0", allocs)
+	}
+	if got := l.Events()[l.Len()-1].Detail; got != "dropped=1003 limit=4" {
+		t.Errorf("marker detail = %q, want dropped=1003 limit=4", got)
+	}
+}
+
+// BenchmarkSpanLogAppend measures Append on the stored path (a fresh
+// log per DefaultSpanLimit events) and on the dropped path (a full log).
+func BenchmarkSpanLogAppend(b *testing.B) {
+	e := SpanEvent{Cycles: 42, Thread: 1, Trace: 9, Kind: SpanCommit, Site: 3, Call: "read", Variant: "htm"}
+	b.Run("stored", func(b *testing.B) {
+		b.ReportAllocs()
+		l := &SpanLog{}
+		for i := 0; i < b.N; i++ {
+			if l.Full() {
+				l = &SpanLog{}
+			}
+			l.Append(e)
+		}
+	})
+	b.Run("dropped", func(b *testing.B) {
+		b.ReportAllocs()
+		l := &SpanLog{Limit: 1}
+		l.Append(e)
+		for i := 0; i < b.N; i++ {
+			l.Append(e)
+		}
+	})
+}
+
 func TestSpanLogNoTruncationUnderLimit(t *testing.T) {
 	l := &SpanLog{Limit: 10}
 	for i := 0; i < 5; i++ {

@@ -91,6 +91,10 @@ const DefaultSpanLimit = 50_000
 // SpanLog is a bounded, deterministic event buffer. Once Limit events are
 // recorded a single terminal "truncated" marker is appended and further
 // events only increment the dropped counter — truncation is never silent.
+// A drop past the cap is O(1) and allocates nothing: the marker's
+// "dropped=N limit=M" Detail is derived from the counter when the log is
+// read (Events, WriteJSONL), so a crash storm pays only for the spans the
+// log keeps.
 type SpanLog struct {
 	// Limit caps recorded events (<= 0 means DefaultSpanLimit).
 	Limit int
@@ -109,15 +113,17 @@ func (l *SpanLog) limit() int {
 	return l.Limit
 }
 
+// Full reports whether the next Append will be dropped. Producers check
+// it to skip building a Detail nobody will store.
+func (l *SpanLog) Full() bool { return len(l.events) >= l.limit() }
+
 // Append records an event (stamping Seq) and reports whether it was
 // stored. At the cap the first refused event appends the terminal
-// truncated marker; subsequent ones only count. The marker's Detail is
-// stamped here — never on read — so Events, WriteJSONL and any direct
-// consumer observe the same bytes no matter when they look.
+// truncated marker (its Detail left empty in storage); every refused
+// event only counts.
 func (l *SpanLog) Append(e SpanEvent) bool {
-	if len(l.events) >= l.limit() {
-		l.dropped++
-		if l.dropped == 1 {
+	if l.Full() {
+		if l.dropped == 0 {
 			l.seq++
 			marker := SpanEvent{
 				Seq:    l.seq,
@@ -128,7 +134,7 @@ func (l *SpanLog) Append(e SpanEvent) bool {
 			l.chain(marker)
 			l.events = append(l.events, marker)
 		}
-		l.stampMarker()
+		l.dropped++
 		return false
 	}
 	l.seq++
@@ -152,23 +158,15 @@ func (l *SpanLog) Len() int { return len(l.events) }
 // Dropped returns how many events were discarded past the cap.
 func (l *SpanLog) Dropped() int64 { return l.dropped }
 
-// Events returns a copy of the stored events. The truncated marker's
-// Detail carries the dropped count as of the last Append — reading is a
-// pure copy and never rewrites stored state.
+// Events returns a copy of the stored events. A truncated log's last
+// event is the marker, its Detail rendered from the dropped count at the
+// time of the read; reading never rewrites stored state.
 func (l *SpanLog) Events() []SpanEvent {
-	return append([]SpanEvent(nil), l.events...)
-}
-
-// stampMarker refreshes the stored truncated marker's Detail with the
-// current dropped count (called from Append only).
-func (l *SpanLog) stampMarker() {
-	if l.dropped == 0 || len(l.events) == 0 {
-		return
+	out := append([]SpanEvent(nil), l.events...)
+	if l.dropped > 0 {
+		out[len(out)-1].Detail = fmt.Sprintf("dropped=%d limit=%d", l.dropped, l.limit())
 	}
-	last := &l.events[len(l.events)-1]
-	if last.Kind == SpanTruncated {
-		last.Detail = fmt.Sprintf("dropped=%d limit=%d", l.dropped, l.limit())
-	}
+	return out
 }
 
 // WriteJSONL writes one JSON object per event.
