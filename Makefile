@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-smoke obsv-smoke chaos-smoke trace-smoke fleet-smoke openloop-smoke domains-smoke diff-smoke replay-smoke micro-smoke perf-test perf eval examples cover clean
+.PHONY: all build test vet bench bench-smoke obsv-smoke chaos-smoke trace-smoke fleet-smoke openloop-smoke domains-smoke replay-smoke micro-smoke perf-test perf eval examples cover clean
 
 all: build vet test
 
@@ -25,8 +25,12 @@ bench:
 
 # A fast end-to-end pass over every experiment with a reduced workload —
 # CI smoke coverage for the full firebench surface, parallel harness on.
+# The rendered suite must match the checked-in golden byte for byte; an
+# intended output change regenerates it with the same command,
+# redirected to cmd/firebench/testdata/smoke.txt.
 bench-smoke:
-	$(GO) run ./cmd/firebench -requests 40 -faults 4 -concurrency 2 -parallel 4 > /dev/null
+	$(GO) run ./cmd/firebench -requests 40 -faults 4 -concurrency 2 -parallel 4 \
+		| cmp cmd/firebench/testdata/smoke.txt -
 	@echo bench-smoke OK
 
 # End-to-end observability smoke: drive the hardened nginx analog with
@@ -155,19 +159,6 @@ domains-smoke:
 	cmp /tmp/fire-domains-report.txt /tmp/fire-domains-report2.txt
 	cmp /tmp/fire-domains.jsonl /tmp/fire-domains2.jsonl
 	@echo domains-smoke OK
-
-# Differential-execution smoke: the default firebench suite under the
-# tree-walking interpreter and the compiled bytecode backend must render
-# byte-for-byte identical output — the backend equivalence contract
-# (docs/RUNTIME.md "Bytecode backend") checked end to end.
-diff-smoke:
-	$(GO) build -o /tmp/firebench-bin ./cmd/firebench
-	/tmp/firebench-bin -backend tree -requests 40 -faults 4 \
-		-concurrency 2 -parallel 4 > /tmp/fire-diff-tree.txt
-	/tmp/firebench-bin -backend bytecode -requests 40 -faults 4 \
-		-concurrency 2 -parallel 4 > /tmp/fire-diff-bytecode.txt
-	cmp /tmp/fire-diff-tree.txt /tmp/fire-diff-bytecode.txt
-	@echo diff-smoke OK
 
 # Flight-recorder smoke: a chaos campaign with -record-out captures a
 # replay manifest for every incarnation that ended unrecovered or with

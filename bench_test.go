@@ -156,26 +156,6 @@ func BenchmarkFigure7(b *testing.B) {
 	b.Log("\n" + res.Render())
 }
 
-// BenchmarkFigure7Bytecode runs the same campaign with guests executing
-// on the bytecode backend instead of the tree-walker. Results are
-// byte-identical to BenchmarkFigure7 (the differential tests in
-// internal/bench enforce this); only wall-clock changes.
-func BenchmarkFigure7Bytecode(b *testing.B) {
-	r := benchRunner()
-	r.Backend = "bytecode"
-	var res bench.Figure7Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = r.Figure7()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.FIRestarterPct, row.Server+"_overhead_%")
-	}
-}
-
 // BenchmarkFigure7Parallel runs the same campaign with the worker pool
 // sized to the host; output is byte-identical to the serial run (see
 // TestParallelHarnessMatchesSerial), only wall-clock changes.

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	firebench [-experiment <name>] [-list] [-backend tree|bytecode]
-//	          [-requests N] [-faults N] [-seed N] [-parallel N]
+//	firebench [-experiment <name>] [-list]
+//	          [-requests N] [-faults N] [-concurrency N] [-seed N] [-parallel N]
 //	          [-trace-out FILE] [-metrics-out FILE] [-profile FILE]
 //	          [-record-out DIR] [-fingerprint]
 //
@@ -14,10 +14,9 @@
 // per-app observability runs are extras, selected by name only, so the
 // default suite's output stays stable). -parallel fans each campaign's
 // isolated measurement runs across N workers; output is byte-identical
-// to a serial run for the same seed. -backend selects the guest
-// execution strategy (the tree-walking interpreter or the compiled
-// bytecode stream); every experiment's output is byte-identical across
-// backends, which `make diff-smoke` checks in CI.
+// to a serial run for the same seed; -parallel 1 or less runs serially.
+// -requests, -faults and -concurrency must not be negative; zero selects
+// the harness default.
 //
 // The observability experiments (one per app: nginx, apache, lighttpd,
 // redis, postgres) drive the hardened server with structured spans, the
@@ -360,33 +359,50 @@ func names(out *obsvOut) []string {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run parses args, runs the selected experiments and returns the exit
+// status: 0 on success, 1 when an experiment fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
 	var out obsvOut
+	fs := flag.NewFlagSet("firebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "all",
+		experiment = fs.String("experiment", "all",
 			"experiment to run (all, "+strings.Join(names(&out), ", ")+")")
-		list     = flag.Bool("list", false, "list experiment names and exit")
-		requests = flag.Int("requests", 300, "requests per measurement run")
-		faults   = flag.Int("faults", 12, "fault-injection experiments per server")
-		seed     = flag.Int64("seed", 1, "seed for workloads, fault plans and the interrupt process")
-		conc     = flag.Int("concurrency", 4, "simulated clients")
-		parallel = flag.Int("parallel", 1, "worker pool size for measurement runs (1 = serial; results are identical)")
-		backend  = flag.String("backend", "tree", "execution backend for guest machines (tree, bytecode); output is byte-identical either way")
+		list     = fs.Bool("list", false, "list experiment names and exit")
+		requests = fs.Int("requests", 300, "requests per measurement run (0 = harness default)")
+		faults   = fs.Int("faults", 12, "fault-injection experiments per server (0 = harness default)")
+		seed     = fs.Int64("seed", 1, "seed for workloads, fault plans and the interrupt process")
+		conc     = fs.Int("concurrency", 4, "simulated clients (0 = harness default)")
+		parallel = fs.Int("parallel", 1, "worker pool size for measurement runs (<= 1 = serial; results are identical)")
 	)
-	flag.StringVar(&out.traceOut, "trace-out", "", "write the structured span trace as JSONL to this file (observability experiments)")
-	flag.StringVar(&out.metricsOut, "metrics-out", "", "write the metrics registry as JSONL to this file (observability experiments)")
-	flag.StringVar(&out.profileOut, "profile", "", "write the guest profile as JSONL to this file (observability experiments)")
-	flag.StringVar(&out.replicas, "replicas", "1,2,4,8", "replica counts for the fleet experiment, comma-separated")
-	flag.BoolVar(&out.fingerprint, "fingerprint", false, "print the span-stream hash-chain fingerprint (chaos, openloop)")
-	recordOut := flag.String("record-out", "", "write replay manifests for failing incarnations/rungs into this directory (chaos, openloop; see firetrace -replay)")
-	flag.Parse()
+	fs.StringVar(&out.traceOut, "trace-out", "", "write the structured span trace as JSONL to this file (observability experiments)")
+	fs.StringVar(&out.metricsOut, "metrics-out", "", "write the metrics registry as JSONL to this file (observability experiments)")
+	fs.StringVar(&out.profileOut, "profile", "", "write the guest profile as JSONL to this file (observability experiments)")
+	fs.StringVar(&out.replicas, "replicas", "1,2,4,8", "replica counts for the fleet experiment, comma-separated")
+	fs.BoolVar(&out.fingerprint, "fingerprint", false, "print the span-stream hash-chain fingerprint (chaos, openloop)")
+	recordOut := fs.String("record-out", "", "write replay manifests for failing incarnations/rungs into this directory (chaos, openloop; see firetrace -replay)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"requests", *requests}, {"faults", *faults}, {"concurrency", *conc}} {
+		if f.v < 0 {
+			fmt.Fprintf(stderr, "firebench: -%s must not be negative (got %d)\n", f.name, f.v)
+			return 2
+		}
+	}
 
 	if *list {
 		for _, e := range experiments(&out) {
-			fmt.Printf("%-10s %s\n", e.name, e.desc)
+			fmt.Fprintf(stdout, "%-10s %s\n", e.name, e.desc)
 		}
 		return 0
 	}
@@ -397,7 +413,6 @@ func run() int {
 		Seed:            *seed,
 		FaultsPerServer: *faults,
 		Parallelism:     *parallel,
-		Backend:         *backend,
 		RecordDir:       *recordOut,
 	}
 
@@ -412,14 +427,14 @@ func run() int {
 		ran = true
 		text, err := e.run(r)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "firebench: %s: %v\n", e.name, err)
+			fmt.Fprintf(stderr, "firebench: %s: %v\n", e.name, err)
 			return 1
 		}
-		fmt.Println(text)
+		fmt.Fprintln(stdout, text)
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "firebench: unknown experiment %q\n", *experiment)
-		fmt.Fprintln(os.Stderr, "available: all, "+strings.Join(names(&out), ", "))
+		fmt.Fprintf(stderr, "firebench: unknown experiment %q\n", *experiment)
+		fmt.Fprintln(stderr, "available: all, "+strings.Join(names(&out), ", "))
 		return 2
 	}
 	return 0

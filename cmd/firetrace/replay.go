@@ -30,12 +30,7 @@ func printManifest(path string) int {
 // renderManifest formats the manifest summary block.
 func renderManifest(path string, man replay.Manifest) string {
 	out := fmt.Sprintf("manifest: %s (v%d)\n", path, man.Version)
-	out += fmt.Sprintf("kind: %s  app: %s", man.Kind, man.App)
-	backend := man.Backend
-	if backend == "" {
-		backend = "tree"
-	}
-	out += fmt.Sprintf("  backend: %s\n", backend)
+	out += fmt.Sprintf("kind: %s  app: %s\n", man.Kind, man.App)
 	if man.Fault != nil {
 		out += fmt.Sprintf("fault: %s\n", *man.Fault)
 	}

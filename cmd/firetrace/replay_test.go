@@ -25,7 +25,7 @@ func TestRenderManifestFixture(t *testing.T) {
 	out := renderManifest("testdata/manifest.json", man)
 	for _, w := range []string{
 		"manifest: testdata/manifest.json (v1)",
-		"kind: incarnation  app: apache  backend: tree",
+		"kind: incarnation  app: apache\n",
 		"fault: #1 flip-branch at sa_int.b4.2",
 		"incarnation: 8",
 		"schedule: closed http, seed 7011, 8 requests, concurrency 2, trace base 16",

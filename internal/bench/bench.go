@@ -42,13 +42,6 @@ type Runner struct {
 	// and results are assembled in job order (see parallel.go).
 	Parallelism int
 
-	// Backend selects the interpreter execution strategy for every
-	// machine the experiments boot: "" or "tree" for the tree-walker,
-	// "bytecode" for the compiled-bytecode backend. The two are
-	// bit-identical in every observable (outcomes, cycles, stats,
-	// rendered tables); the diff-smoke harness enforces it.
-	Backend string
-
 	// RecordDir, when set, arms the flight recorder: supervised
 	// campaigns capture a replay manifest (plus companion span stream)
 	// for every incarnation that ends unrecovered or with the breaker
@@ -91,19 +84,6 @@ type bootOpts struct {
 	fault    *faultinj.Fault
 	prelatch []int
 	model    *libmodel.Model // nil = libmodel.Default()
-	backend  string          // interpreter backend (see Runner.Backend)
-}
-
-// installBackend applies a Runner.Backend selection to a machine.
-func installBackend(m *interp.Machine, backend string) error {
-	switch backend {
-	case "", "tree":
-		return nil
-	case "bytecode":
-		return interp.UseBytecode(m)
-	default:
-		return fmt.Errorf("bench: unknown backend %q (want tree or bytecode)", backend)
-	}
 }
 
 // boot compiles (optionally fault-plants, optionally hardens) and loads an
@@ -129,9 +109,6 @@ func boot(app *apps.App, o bootOpts) (*instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := installBackend(m, o.backend); err != nil {
-			return nil, err
-		}
 		inst.m = m
 		return inst, nil
 	}
@@ -142,9 +119,6 @@ func boot(app *apps.App, o bootOpts) (*instance, error) {
 	rt := core.New(tr, osim, o.cfg)
 	m, err := interp.New(tr.Prog, osim, rt)
 	if err != nil {
-		return nil, err
-	}
-	if err := installBackend(m, o.backend); err != nil {
 		return nil, err
 	}
 	rt.Attach(m)
@@ -191,7 +165,6 @@ func (r Runner) drive(inst *instance) workload.Result {
 // measure boots and drives, returning cycles/request plus the instance for
 // stat extraction.
 func (r Runner) measure(app *apps.App, o bootOpts) (*instance, workload.Result, error) {
-	o.backend = r.Backend
 	inst, err := boot(app, o)
 	if err != nil {
 		return nil, workload.Result{}, err
@@ -246,12 +219,6 @@ func (r Runner) planFaults(app *apps.App, kind faultinj.Kind, max int) ([]faulti
 	}
 	m, err := interp.New(prog.Clone(), osim, nil)
 	if err != nil {
-		return nil, err
-	}
-	// Fault planning profiles block execution; route it through the
-	// selected backend too (the block-hook stream is backend-invariant,
-	// which the differential harness relies on).
-	if err := installBackend(m, r.Backend); err != nil {
 		return nil, err
 	}
 	profile := faultinj.NewProfile()

@@ -82,7 +82,6 @@ type ladderRun struct {
 // restart-on-crash policy. Residual work abandoned when the breaker opens
 // is counted as Failed — never silently dropped.
 func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*ladderRun, error) {
-	o.backend = r.Backend
 	lr := &ladderRun{Registry: obsv.NewRegistry()}
 	if sc.Seed == 0 {
 		sc.Seed = r.Seed
@@ -182,7 +181,6 @@ func (r Runner) ladderRun(app *apps.App, o bootOpts, sc supervisor.Config) (*lad
 				recCands = append(recCands, incCand{
 					rec: replay.RecordIncarnation(replay.IncarnationRun{
 						App:         app.Name,
-						Backend:     r.Backend,
 						Core:        o.cfg,
 						Fault:       o.fault,
 						Incarnation: inc,

@@ -42,7 +42,7 @@ func (r Runner) Observe(appName string) (*ObserveResult, error) {
 	if app == nil {
 		return nil, fmt.Errorf("bench: unknown app %q", appName)
 	}
-	inst, err := boot(app, bootOpts{cfg: perfConfig(0, 0, 0, r.Seed), backend: r.Backend})
+	inst, err := boot(app, bootOpts{cfg: perfConfig(0, 0, 0, r.Seed)})
 	if err != nil {
 		return nil, err
 	}

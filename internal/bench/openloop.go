@@ -74,9 +74,8 @@ func (r Runner) fleetBoot(app *apps.App, fault *faultinj.Fault) func(rep, inc in
 	return func(rep, inc int, bootSeed int64) (*fleet.Backend, error) {
 		f := *fault
 		inst, err := boot(app, bootOpts{
-			fault:   &f,
-			backend: r.Backend,
-			cfg:     core.Config{HTM: htm.Config{Seed: bootSeed}},
+			fault: &f,
+			cfg:   core.Config{HTM: htm.Config{Seed: bootSeed}},
 		})
 		if err != nil {
 			return nil, err
@@ -242,7 +241,6 @@ func (r Runner) OpenLoop() (OpenLoopResult, error) {
 				fa := fault
 				rec := replay.RecordOpenLoop(replay.OpenLoopRun{
 					App:         app.Name,
-					Backend:     r.Backend,
 					Fault:       &fa,
 					Seed:        r.Seed + 1000*int64(i+2),
 					Proto:       app.Protocol,

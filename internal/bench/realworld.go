@@ -71,7 +71,7 @@ func (r Runner) runCase(app *apps.App, fn, lib string, nth int, trigger, followu
 		return res, err
 	}
 	fault := faultinj.Fault{ID: 1, Kind: faultinj.FailStop, Func: ref.Func, Block: ref.Block, Index: 0}
-	inst, err := boot(app, bootOpts{fault: &fault, backend: r.Backend})
+	inst, err := boot(app, bootOpts{fault: &fault})
 	if err != nil {
 		return res, err
 	}

@@ -87,11 +87,6 @@ func bootMT(app *apps.App, o bootOpts) (*mtInstance, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Worker machines spawned later inherit the main machine's
-		// backend through interp.NewThread.
-		if err := installBackend(s.Main(), o.backend); err != nil {
-			return nil, err
-		}
 		inst.s = s
 		return inst, nil
 	}
@@ -112,9 +107,6 @@ func bootMT(app *apps.App, o bootOpts) (*mtInstance, error) {
 	}
 	s, err := sched.New(tr.Prog, osim, factory, sched.Options{Quantum: threadsQuantum})
 	if err != nil {
-		return nil, err
-	}
-	if err := installBackend(s.Main(), o.backend); err != nil {
 		return nil, err
 	}
 	inst.s = s
@@ -158,7 +150,7 @@ func threadsConfig(seed int64) core.Config {
 // planted fault.
 func (r Runner) threadsRow(workers int, fault *faultinj.Fault) (ThreadsRow, error) {
 	app := apps.NginxMT(workers)
-	inst, err := bootMT(app, bootOpts{cfg: threadsConfig(r.Seed), fault: fault, backend: r.Backend})
+	inst, err := bootMT(app, bootOpts{cfg: threadsConfig(r.Seed), fault: fault})
 	if err != nil {
 		return ThreadsRow{}, err
 	}

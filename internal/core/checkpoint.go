@@ -12,7 +12,7 @@ import (
 // run from boot — and uses the ring entries as verified anchors: a
 // re-execution whose ring disagrees with the recording's has diverged.
 //
-// Checkpoints ride the per-instruction Tick the tree walker already
+// Checkpoints ride the per-instruction Tick the interpreter already
 // issues, so they fire regardless of transaction state — including mid
 // transaction. Disabled (the default) they cost one predictable branch
 // per tick and change no observable behaviour.

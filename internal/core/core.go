@@ -30,7 +30,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/firestarter-go/firestarter/internal/analysis"
 	"github.com/firestarter-go/firestarter/internal/htm"
@@ -964,34 +963,6 @@ func (rt *Runtime) Tick(m *interp.Machine, n int64) error {
 		return tx.htmTx.Tick(n)
 	}
 	return nil
-}
-
-// TickLive implements interp.TickCoalescer: Tick only does work while a
-// hardware transaction is live, so the bytecode backend may skip the
-// per-instruction call (and the position bookkeeping feeding it) whenever
-// this reports false. An armed checkpoint ring needs every tick too
-// (replay forces the tree walker anyway; this keeps the contract honest
-// if checkpoints are ever combined with the bytecode backend).
-func (rt *Runtime) TickLive() bool {
-	if rt.ckptEvery > 0 {
-		return true
-	}
-	tx := rt.cur
-	return tx != nil && tx.htmTx != nil
-}
-
-// TickBudget implements interp.TickBatcher: while a hardware transaction
-// is live, ticks strictly before the next modelled interrupt are pure
-// countdown decrements the backend may defer and deliver in one batch.
-func (rt *Runtime) TickBudget() int64 {
-	if rt.ckptEvery > 0 {
-		return 1
-	}
-	tx := rt.cur
-	if tx == nil || tx.htmTx == nil {
-		return math.MaxInt64
-	}
-	return tx.htmTx.TickBudget()
 }
 
 // Variant implements interp.Runtime: the flow-switch selector.

@@ -26,7 +26,6 @@ package htm
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/firestarter-go/firestarter/internal/mem"
@@ -371,25 +370,6 @@ func (tx *Tx) Tick(n int64) error {
 	o.scheduleInterrupt()
 	tx.rollback(AbortInterrupt)
 	return &AbortError{Cause: AbortInterrupt}
-}
-
-// TickBudget reports how many Tick(1) calls are guaranteed to be complete
-// no-ops from here: no abort, no doom delivery, no state change beyond
-// the interrupt countdown. Callers may defer that many single-instruction
-// ticks and apply them later in one batched Tick(n) with identical
-// semantics — the guarantee holds only until the next operation on the
-// transaction (Load, Store, Commit, Abort, or a delivered tick), after
-// which the budget must be re-queried.
-func (tx *Tx) TickBudget() int64 {
-	if tx.doomed != AbortNone || tx.done {
-		return 0
-	}
-	if tx.owner.instrsToIntr < 0 {
-		return math.MaxInt64
-	}
-	// The tick that drives the countdown to zero aborts; everything
-	// strictly before it is a pure decrement.
-	return tx.owner.instrsToIntr - 1
 }
 
 // Commit makes the transaction's stores permanent and discards snapshots.

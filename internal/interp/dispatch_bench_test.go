@@ -9,9 +9,9 @@ import (
 	"github.com/firestarter-go/firestarter/internal/mem"
 )
 
-// buildHotLoop returns a program spinning a fusable arithmetic loop over a
-// global counter: the dispatch-bound shape the superinstruction set
-// targets (compare-and-branch, load-op-store, const-into-bin).
+// buildHotLoop returns a program spinning an arithmetic loop over a
+// global counter: a dispatch-bound shape (compare-and-branch,
+// load-op-store, const-into-bin).
 func buildHotLoop(iters int64) *ir.Program {
 	p := ir.NewProgram()
 	p.AddGlobal("g", 8, nil)
@@ -47,7 +47,7 @@ func buildHotLoop(iters int64) *ir.Program {
 	return p
 }
 
-func benchDispatch(b *testing.B, bytecode bool) {
+func BenchmarkDispatch(b *testing.B) {
 	prog := buildHotLoop(200_000)
 	if err := prog.Validate(); err != nil {
 		b.Fatal(err)
@@ -59,17 +59,9 @@ func benchDispatch(b *testing.B, bytecode bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if bytecode {
-			if err := interp.UseBytecode(m); err != nil {
-				b.Fatal(err)
-			}
-		}
 		b.StartTimer()
 		if out := m.Run(0); out.Kind != interp.OutExited {
 			b.Fatalf("outcome %v", out.Kind)
 		}
 	}
 }
-
-func BenchmarkDispatchTree(b *testing.B)     { benchDispatch(b, false) }
-func BenchmarkDispatchBytecode(b *testing.B) { benchDispatch(b, true) }

@@ -265,17 +265,11 @@ type Machine struct {
 	// executions).
 	budget int64
 
-	// backend, when non-nil, replaces the tree-walking Run loop (see
-	// Backend); it must preserve the tree-walker's observable behaviour
-	// bit for bit.
-	backend Backend
-
 	// Watchpoint state (record/replay forensics). While a watch is armed
-	// Run always takes the tree walker, which checks the condition at
-	// every instruction boundary; the first boundary at which
-	// Cycles >= watchCycles (or Steps >= watchSteps) disarms the watch,
-	// invokes watchFn (if any) with the machine frozen at exactly that
-	// boundary, and returns OutWatch. Zero means unarmed.
+	// Run checks the condition at every instruction boundary; the first
+	// boundary at which Cycles >= watchCycles (or Steps >= watchSteps)
+	// disarms the watch, invokes watchFn (if any) with the machine frozen
+	// at exactly that boundary, and returns OutWatch. Zero means unarmed.
 	watchCycles int64
 	watchSteps  int64
 	watchFn     func(*Machine)
@@ -379,7 +373,6 @@ func NewThread(parent *Machine, rt Runtime, fn *ir.Func, args []int64, slot int)
 		sp:         top,
 		stackTop:   top,
 		stackLimit: base,
-		backend:    parent.backend,
 	}
 	if err := m.push(fn, args, -1); err != nil {
 		return nil, err
@@ -603,19 +596,6 @@ func (m *Machine) Restore(s *Snapshot) {
 	}
 }
 
-// Run executes until exit, fatal trap, blocked I/O, or maxSteps
-// instructions (0 = no limit). Execution goes through the installed
-// backend (SetBackend); the default is the tree-walking interpreter.
-// While a watchpoint is armed execution always uses the tree walker:
-// backends are bit-identical by contract, so stopping on the reference
-// loop observes the same state at the same boundary.
-func (m *Machine) Run(maxSteps int64) Outcome {
-	if m.backend != nil && !m.WatchArmed() {
-		return m.backend.Run(m, maxSteps)
-	}
-	return m.runTree(maxSteps)
-}
-
 // WatchCycles arms a watchpoint that fires at the first instruction
 // boundary where Cycles >= c. fn (optional) runs with the machine frozen
 // at that boundary, before Run returns OutWatch. The watch persists
@@ -642,9 +622,9 @@ func (m *Machine) watchHit() bool {
 		(m.watchSteps > 0 && m.Steps >= m.watchSteps)
 }
 
-// runTree is the tree-walking interpreter loop — the reference semantics
-// every backend must match.
-func (m *Machine) runTree(maxSteps int64) Outcome {
+// Run executes until exit, fatal trap, blocked I/O, a watchpoint hit, or
+// maxSteps instructions (0 = no limit).
+func (m *Machine) Run(maxSteps int64) Outcome {
 	if m.exited {
 		return Outcome{Kind: OutExited, Code: m.exitCode}
 	}
@@ -1041,10 +1021,6 @@ func (Direct) RegSave(*Machine) {}
 
 // Tick implements Runtime.
 func (Direct) Tick(*Machine, int64) error { return nil }
-
-// TickLive implements TickCoalescer: Direct's Tick never does anything,
-// so backends may coalesce freely.
-func (Direct) TickLive() bool { return false }
 
 // Handle implements Runtime: blocked calls yield, everything else is fatal.
 func (Direct) Handle(_ *Machine, err error) Action {

@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -533,4 +534,38 @@ int main() {
 	memcpy(b, a, 16);
 	return strcmp(a, b) == 0 && strlen(b) == 15;
 }`, 1)
+}
+
+// TestThreadArgOverflowTraps is the regression test for push silently
+// truncating arguments: spawning a thread entry with more arguments than
+// the function has registers must fail-stop with TrapBadCall instead of
+// running with a dropped argument.
+func TestThreadArgOverflowTraps(t *testing.T) {
+	p := ir.NewProgram()
+	f := &ir.Func{Name: "main", NumRegs: 1}
+	b := f.NewBlock("entry")
+	b.Instrs = []ir.Instr{
+		{Op: ir.OpConst, Dst: 0, Imm: 0},
+		{Op: ir.OpRet, A: 0},
+	}
+	p.AddFunc(f)
+	w := &ir.Func{Name: "worker", Params: 0, NumRegs: 0}
+	wb := w.NewBlock("entry")
+	wb.Instrs = []ir.Instr{{Op: ir.OpRet, A: -1}}
+	p.AddFunc(w)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := interp.New(p, libsim.New(mem.NewSpace()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = interp.NewThread(m, nil, p.Funcs["worker"], []int64{42}, 1)
+	if err == nil {
+		t.Fatal("NewThread accepted more args than the entry has registers")
+	}
+	var trap *interp.Trap
+	if !errors.As(err, &trap) || trap.Code != ir.TrapBadCall {
+		t.Fatalf("err = %v, want TrapBadCall", err)
+	}
 }

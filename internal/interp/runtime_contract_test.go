@@ -250,3 +250,155 @@ func TestNarrowAccessWidths(t *testing.T) {
 		t.Fatalf("exit = %#x", m.ExitCode())
 	}
 }
+
+// tickCountRT is a scriptRT that also counts retired-instruction ticks.
+type tickCountRT struct {
+	scriptRT
+	ticks int64
+}
+
+func (s *tickCountRT) Tick(m *interp.Machine, n int64) error {
+	s.ticks += n
+	return nil
+}
+
+// TestRunQuantumInvariance: stopping and resuming Run at any instruction
+// boundary is unobservable. The gate program, run in quanta of 1, 2, 3
+// and 7 instructions, must deliver the same runtime events, the same tick
+// count and the same steps, cycles and result as one uninterrupted Run,
+// for each gate decision.
+func TestRunQuantumInvariance(t *testing.T) {
+	cases := []struct {
+		name    string
+		variant int64
+		inject  bool
+	}{
+		{"htm", ir.TxHTM, false},
+		{"stm", ir.TxSTM, false},
+		{"inject", ir.TxHTM, true},
+	}
+	run := func(t *testing.T, rt *tickCountRT, quantum int64) *interp.Machine {
+		t.Helper()
+		m, err := interp.New(buildGateProgram(t), libsim.New(mem.NewSpace()), rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1000; i++ {
+			out := m.Run(quantum)
+			if out.Kind == interp.OutStepLimit {
+				continue
+			}
+			if out.Kind != interp.OutExited {
+				t.Fatalf("quantum %d: outcome %v", quantum, out.Kind)
+			}
+			return m
+		}
+		t.Fatalf("quantum %d: did not exit", quantum)
+		return nil
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := &tickCountRT{scriptRT: scriptRT{variant: tc.variant, inject: tc.inject}}
+			mr := run(t, ref, 1000)
+			for _, q := range []int64{1, 2, 3, 7} {
+				rt := &tickCountRT{scriptRT: scriptRT{variant: tc.variant, inject: tc.inject}}
+				m := run(t, rt, q)
+				assertEvents(t, rt.events, ref.events)
+				if rt.ticks != ref.ticks || m.Steps != mr.Steps || m.Cycles != mr.Cycles || m.ExitCode() != mr.ExitCode() {
+					t.Fatalf("quantum %d: ticks/steps/cycles/exit = %d/%d/%d/%d, want %d/%d/%d/%d", q,
+						rt.ticks, m.Steps, m.Cycles, m.ExitCode(), ref.ticks, mr.Steps, mr.Cycles, mr.ExitCode())
+				}
+			}
+		})
+	}
+}
+
+// TestGateSingleStep single-steps the gate program under both variants:
+// every Run(1) that stops on its budget retires exactly one instruction,
+// the events delivered so far are always a prefix of those of one
+// uninterrupted Run, and the final event stream, global and exit code
+// match it.
+func TestGateSingleStep(t *testing.T) {
+	for _, variant := range []int64{ir.TxHTM, ir.TxSTM} {
+		ref := &scriptRT{variant: variant}
+		mr := runScripted(t, ref)
+
+		rt := &scriptRT{variant: variant}
+		m, err := interp.New(buildGateProgram(t), libsim.New(mem.NewSpace()), rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ; i++ {
+			if i == 1000 {
+				t.Fatalf("variant %d: did not exit", variant)
+			}
+			before := m.Steps
+			out := m.Run(1)
+			if len(rt.events) > len(ref.events) {
+				t.Fatalf("variant %d: events %v overrun reference %v", variant, rt.events, ref.events)
+			}
+			assertEvents(t, rt.events, ref.events[:len(rt.events)])
+			if out.Kind != interp.OutStepLimit {
+				if out.Kind != interp.OutExited {
+					t.Fatalf("variant %d: outcome %v", variant, out.Kind)
+				}
+				break
+			}
+			if m.Steps != before+1 {
+				t.Fatalf("variant %d: Run(1) retired %d instructions", variant, m.Steps-before)
+			}
+		}
+		assertEvents(t, rt.events, ref.events)
+		if m.Steps != mr.Steps || m.Cycles != mr.Cycles || m.ExitCode() != mr.ExitCode() {
+			t.Fatalf("variant %d: steps/cycles/exit = %d/%d/%d, want %d/%d/%d", variant,
+				m.Steps, m.Cycles, m.ExitCode(), mr.Steps, mr.Cycles, mr.ExitCode())
+		}
+		g, _ := m.Space.Load(m.GlobalAddr("g"), 8)
+		gr, _ := mr.Space.Load(mr.GlobalAddr("g"), 8)
+		if g != gr {
+			t.Fatalf("variant %d: global g = %d, want %d", variant, g, gr)
+		}
+	}
+}
+
+// TestLoopProgramQuantumInvariance runs a compare-and-branch loop that
+// updates a global through load-op-store (10 iterations of g += 3) in
+// quanta of 1, 2, 3 and 7 instructions: each must exit with 30 and the
+// steps and cycles of one uninterrupted Run.
+func TestLoopProgramQuantumInvariance(t *testing.T) {
+	newMachine := func() *interp.Machine {
+		prog := buildHotLoop(10)
+		if err := prog.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := interp.New(prog, libsim.New(mem.NewSpace()), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	ref := newMachine()
+	if out := ref.Run(0); out.Kind != interp.OutExited || ref.ExitCode() != 30 {
+		t.Fatalf("reference run: %v/%d, want exit 30", out.Kind, ref.ExitCode())
+	}
+	for _, quantum := range []int64{1, 2, 3, 7} {
+		m := newMachine()
+		for i := 0; ; i++ {
+			if i == 10_000 {
+				t.Fatalf("quantum %d: did not exit", quantum)
+			}
+			out := m.Run(quantum)
+			if out.Kind == interp.OutStepLimit {
+				continue
+			}
+			if out.Kind != interp.OutExited {
+				t.Fatalf("quantum %d: outcome %v", quantum, out.Kind)
+			}
+			break
+		}
+		if m.ExitCode() != 30 || m.Steps != ref.Steps || m.Cycles != ref.Cycles {
+			t.Fatalf("quantum %d: exit/steps/cycles = %d/%d/%d, want 30/%d/%d",
+				quantum, m.ExitCode(), m.Steps, m.Cycles, ref.Steps, ref.Cycles)
+		}
+	}
+}

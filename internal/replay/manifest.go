@@ -57,7 +57,6 @@ type Manifest struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"` // "incarnation" or "openloop"
 	App     string `json:"app"`
-	Backend string `json:"backend,omitempty"` // "" / "tree" / "bytecode"
 
 	// Core is the runtime configuration the run booted with. For
 	// openloop manifests the HTM seed is per-incarnation (the fleet
@@ -98,7 +97,7 @@ type Manifest struct {
 	Fingerprint string   `json:"fingerprint"`
 	SpanChain   []string `json:"span_chain"`
 
-	// SpansFile names the companion JSONL span stream, relative to the
+	// SpansFile names the companion JSONL span stream: a file name in the
 	// manifest's directory.
 	SpansFile string `json:"spans_file,omitempty"`
 }
@@ -180,7 +179,6 @@ func faultCycle(spans []obsv.SpanEvent, final int64) int64 {
 // the input to RecordIncarnation.
 type IncarnationRun struct {
 	App         string
-	Backend     string
 	Core        core.Config
 	Fault       *faultinj.Fault
 	Incarnation int
@@ -208,7 +206,6 @@ func RecordIncarnation(r IncarnationRun) Recording {
 			Version:     Version,
 			Kind:        KindIncarnation,
 			App:         r.App,
-			Backend:     r.Backend,
 			Core:        r.Core,
 			Fault:       fault,
 			Incarnation: r.Incarnation,
@@ -235,7 +232,6 @@ func RecordIncarnation(r IncarnationRun) Recording {
 // RecordOpenLoop.
 type OpenLoopRun struct {
 	App         string
-	Backend     string
 	Core        core.Config
 	Fault       *faultinj.Fault
 	Seed        int64 // rung seed: driver + fleet supervision
@@ -262,7 +258,6 @@ func RecordOpenLoop(r OpenLoopRun) Recording {
 			Version: Version,
 			Kind:    KindOpenLoop,
 			App:     r.App,
-			Backend: r.Backend,
 			Core:    r.Core,
 			Fault:   fault,
 			Schedule: workload.Schedule{
@@ -358,6 +353,9 @@ func Load(path string) (Recording, error) {
 		return rec, fmt.Errorf("replay: %s: %v", path, err)
 	}
 	if man.SpansFile != "" {
+		if man.SpansFile != filepath.Base(man.SpansFile) || man.SpansFile == "." || man.SpansFile == ".." {
+			return rec, fmt.Errorf("replay: %s: spans_file %q is not a file name in the manifest's directory", path, man.SpansFile)
+		}
 		spans, err := readSpans(filepath.Join(filepath.Dir(path), man.SpansFile))
 		if err != nil {
 			return rec, fmt.Errorf("replay: %s: companion: %v", path, err)

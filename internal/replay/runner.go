@@ -147,15 +147,6 @@ func bootRecorded(man *Manifest, cfg core.Config) (*instState, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch man.Backend {
-	case "", "tree":
-	case "bytecode":
-		if err := interp.UseBytecode(m); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("replay: unknown backend %q", man.Backend)
-	}
 	rt.Attach(m)
 	return &instState{app: app, os: osim, m: m, rt: rt}, nil
 }

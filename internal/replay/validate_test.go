@@ -74,3 +74,31 @@ func TestLoadRejectsNegativeSchedule(t *testing.T) {
 		})
 	}
 }
+
+// TestLoadRejectsSpansFileOutsideDir: spans_file must name a file in the
+// manifest's own directory. A path that climbs out of it (or names the
+// directory itself) is rejected before anything is opened.
+func TestLoadRejectsSpansFileOutsideDir(t *testing.T) {
+	raw, err := os.ReadFile("../../cmd/firetrace/testdata/manifest.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"../manifest.spans.jsonl", "sub/manifest.spans.jsonl", "/etc/hostname", ".", ".."} {
+		var man map[string]any
+		if err := json.Unmarshal(raw, &man); err != nil {
+			t.Fatal(err)
+		}
+		man["spans_file"] = name
+		data, err := json.Marshal(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "manifest.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := replay.Load(path); err == nil || !strings.Contains(err.Error(), "spans_file") {
+			t.Errorf("spans_file %q: err = %v, want a spans_file rejection", name, err)
+		}
+	}
+}
