@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-smoke obsv-smoke chaos-smoke trace-smoke fleet-smoke openloop-smoke domains-smoke replay-smoke micro-smoke perf-test perf eval examples cover clean
+.PHONY: all build test vet bench bench-smoke obsv-smoke chaos-smoke trace-smoke fleet-smoke openloop-smoke domains-smoke replay-smoke micro-smoke fuzz-smoke perf-test perf eval examples cover clean
 
 all: build vet test
 
@@ -197,6 +197,19 @@ replay-smoke:
 micro-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 	@echo micro-smoke OK
+
+# Fuzz smoke: every Fuzz* target explores fresh inputs for 10 s (plain
+# `go test` only replays their seeds and checked-in testdata/fuzz
+# corpora). A crasher fails the build and is written to that target's
+# testdata/fuzz directory, ready to check in as a regression input.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/minic
+	$(GO) test -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime 10s ./internal/minic
+	$(GO) test -run '^$$' -fuzz '^FuzzHTTPSplit$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/replay
+	$(GO) test -run '^$$' -fuzz '^FuzzSpanJSONL$$' -fuzztime 10s ./cmd/firetrace
+	$(GO) test -run '^$$' -fuzz '^FuzzSpanJSONL$$' -fuzztime 10s ./cmd/obsvlint
+	@echo fuzz-smoke OK
 
 # The host-side benchmark's own tests. perfbench is a separate Go module,
 # so the root `go test ./...` never reaches it: this runs its pins and

@@ -22,9 +22,8 @@
 // sheds stay visible), and p50/p90/p99/p999 in cycles — and the
 // campaign cycle breakdown (tx-committed, tx-aborted, rollback,
 // reboot-wait). -timeline N prints the N slowest terminated requests
-// with their full span sequences. -strict exits non-zero if any request
-// is unterminated, any trace reference is orphaned, or any trace has a
-// duplicated start/terminal.
+// with their full span sequences. -strict exits non-zero if the trace
+// breaks the span-log contract defined by obsv.Causality.
 //
 // -chrome writes Chrome trace_event JSON (load via chrome://tracing or
 // https://ui.perfetto.dev): requests are "X" slices on pid 1, crash
@@ -73,7 +72,7 @@ func run() int {
 	var (
 		breakdown = flag.Bool("breakdown", false, "print the per-rung latency table and cycle breakdown")
 		timeline  = flag.Int("timeline", 0, "print the N slowest completed requests as span timelines")
-		strict    = flag.Bool("strict", false, "exit non-zero on unterminated requests or causality violations")
+		strict    = flag.Bool("strict", false, "exit non-zero on span-log contract violations")
 		chrome    = flag.String("chrome", "", "write Chrome trace_event JSON to this file")
 		folded    = flag.String("folded", "", "write flamegraph folded stacks to this file (needs -profile)")
 		profile   = flag.String("profile", "", "guest profile JSONL (firebench -profile export) for -folded")
@@ -253,7 +252,6 @@ type report struct {
 	Spans    []obsv.SpanEvent
 	Requests []*request // first-appearance order
 	Orphans  []int64    // traces referenced by non-request spans but never started
-	dupErrs  []string   // duplicated start/terminal findings
 }
 
 // analyze reconstructs every request chain from the span stream.
@@ -274,17 +272,11 @@ func analyze(spans []obsv.SpanEvent) *report {
 		switch e.Kind {
 		case obsv.SpanReqStart:
 			r := get(e.Trace)
-			if r.Start >= 0 {
-				rep.dupErrs = append(rep.dupErrs, fmt.Sprintf("trace %d: duplicate req-start", e.Trace))
-			}
 			r.Start = e.Cycles
 			r.Replica = e.Replica
 			r.Spans = append(r.Spans, e)
 		case obsv.SpanReqDone, obsv.SpanReqLost:
 			r := get(e.Trace)
-			if r.End >= 0 {
-				rep.dupErrs = append(rep.dupErrs, fmt.Sprintf("trace %d: duplicate terminal span", e.Trace))
-			}
 			r.End = e.Cycles
 			if e.Kind == obsv.SpanReqLost {
 				r.Outcome = outLost
@@ -326,19 +318,7 @@ func analyze(spans []obsv.SpanEvent) *report {
 }
 
 // violations returns the findings -strict fails on.
-func (rep *report) violations() []string {
-	var errs []string
-	errs = append(errs, rep.dupErrs...)
-	for _, r := range rep.Requests {
-		if r.Outcome == outUnterminated {
-			errs = append(errs, fmt.Sprintf("trace %d: no terminal span", r.Trace))
-		}
-	}
-	for _, tr := range rep.Orphans {
-		errs = append(errs, fmt.Sprintf("trace %d: orphaned trace reference (no req-start)", tr))
-	}
-	return errs
-}
+func (rep *report) violations() []string { return obsv.CheckCausality(rep.Spans) }
 
 // outcomes tallies terminal outcomes.
 func (rep *report) outcomes() map[string]int {

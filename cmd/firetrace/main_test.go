@@ -161,9 +161,9 @@ func TestViolations(t *testing.T) {
 	errs := rep.violations()
 	joined := strings.Join(errs, "\n")
 	for _, w := range []string{
-		"trace 10: no terminal span",
+		"trace 10: 0 terminal spans, want 1",
 		"trace 11: orphaned trace reference",
-		"trace 12: duplicate terminal span",
+		"trace 12: 2 terminal spans, want 1",
 	} {
 		if !strings.Contains(joined, w) {
 			t.Errorf("missing violation %q in:\n%s", w, joined)

@@ -76,10 +76,10 @@ func TestLintDomainRules(t *testing.T) {
 	errs := lintFile("testdata/domains.jsonl", "trace", true)
 	joined := strings.Join(errs, "\n")
 	wants := []string{
-		`line 8: domain-discard after "commit", want crash`,
-		"line 10: domain-discard of dom 2 with no prior domain-switch",
-		`line 13: domain-violation (line 12) followed by "retry"`,
-		"line 15: domain-violation with no following span",
+		`seq 8: domain-discard after "commit", want crash`,
+		"seq 10: domain-discard of dom 2 with no prior domain-switch",
+		`seq 13: domain-violation (seq 12) followed by "retry"`,
+		"seq 15: domain-violation with no following span",
 	}
 	for _, w := range wants {
 		if !strings.Contains(joined, w) {
@@ -91,7 +91,7 @@ func TestLintDomainRules(t *testing.T) {
 	}
 	// The legal discards (line 5 after a crash, line 11's dom=0 empty
 	// arena) must not be flagged.
-	for _, legal := range []string{"line 5", "line 11"} {
+	for _, legal := range []string{"seq 5", "seq 11"} {
 		if strings.Contains(joined, legal+":") {
 			t.Errorf("legal span reported: %s", joined)
 		}

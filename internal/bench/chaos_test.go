@@ -57,7 +57,7 @@ func TestChaosAttributesEveryFault(t *testing.T) {
 	// After cycle/trace rebasing the merged log must stay causally valid:
 	// every traced request reaches exactly one terminal and no span
 	// references a trace that was never delivered.
-	if errs := traceCausality(res.Spans); len(errs) > 0 {
+	if errs := obsv.CheckCausality(res.Spans); len(errs) > 0 {
 		if len(errs) > 10 {
 			errs = errs[:10]
 		}

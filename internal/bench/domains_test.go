@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
 // domainsRunner keeps the heap-domain campaigns small enough for unit
@@ -119,7 +121,7 @@ func TestContainmentZeroLeaks(t *testing.T) {
 			t.Fatalf("span %d cycles %d < previous %d", i, e.Cycles, res.Spans[i-1].Cycles)
 		}
 	}
-	if errs := traceCausality(res.Spans); len(errs) > 0 {
+	if errs := obsv.CheckCausality(res.Spans); len(errs) > 0 {
 		if len(errs) > 10 {
 			errs = errs[:10]
 		}

@@ -189,7 +189,7 @@ func (fr *fleetRun) reconcile() []string {
 		check("span req-start vs req_starts", counts[obsv.SpanReqStart], st.ReqStarts)
 		check("span req-done vs req_done", counts[obsv.SpanReqDone], st.ReqsDone)
 		check("span req-lost vs req_lost", counts[obsv.SpanReqLost], st.ReqsLost)
-		errs = append(errs, traceCausality(fr.Spans)...)
+		errs = append(errs, obsv.CheckCausality(fr.Spans)...)
 	}
 	return errs
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/firestarter-go/firestarter/internal/obsv"
 )
 
 // The fleet experiment is the determinism tentpole: for a fixed seed the
@@ -59,7 +61,7 @@ func TestFleetGlobalSpanLogIsCausal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs := traceCausality(res.Spans); len(errs) > 0 {
+	if errs := obsv.CheckCausality(res.Spans); len(errs) > 0 {
 		t.Fatalf("global span log causality:\n  %s", strings.Join(errs, "\n  "))
 	}
 	if len(res.Rows) != 2 || res.Rows[0].Replicas != 1 || res.Rows[1].Replicas != 2 {

@@ -361,55 +361,7 @@ func (l *ladderRun) reconcile() []string {
 		check("span:"+obsv.SpanDomainDiscard, counts[obsv.SpanDomainDiscard], l.DomainDiscards)
 		check("span:"+obsv.SpanDomainViolation, counts[obsv.SpanDomainViolation], l.DomainViolations)
 		check("span:"+obsv.SpanLatchDomains, counts[obsv.SpanLatchDomains], l.DomainLatches)
-		errs = append(errs, traceCausality(l.Spans)...)
-	}
-	return errs
-}
-
-// traceCausality validates the trace-ID causal chains of a span log:
-// every req-start has exactly one terminal (req-done or req-lost), a
-// req-done never appears for a request the server never started reading,
-// and no recovery/transaction span references a trace with no req-start
-// (orphaned trace reference). A req-lost without a req-start is legal —
-// the request was delivered but the server died before reading it.
-func traceCausality(spans []obsv.SpanEvent) []string {
-	var errs []string
-	started := map[int64]int{}
-	terminals := map[int64]int{}
-	doneNoStartOK := map[int64]bool{}
-	refs := map[int64]bool{}
-	for _, e := range spans {
-		switch e.Kind {
-		case obsv.SpanReqStart:
-			started[e.Trace]++
-		case obsv.SpanReqDone:
-			terminals[e.Trace]++
-		case obsv.SpanReqLost:
-			terminals[e.Trace]++
-			doneNoStartOK[e.Trace] = true
-		default:
-			if e.Trace != 0 {
-				refs[e.Trace] = true
-			}
-		}
-	}
-	for tr, n := range started {
-		if n != 1 {
-			errs = append(errs, fmt.Sprintf("trace %d: %d req-start spans, want 1", tr, n))
-		}
-		if terminals[tr] != 1 {
-			errs = append(errs, fmt.Sprintf("trace %d: %d terminal spans, want 1", tr, terminals[tr]))
-		}
-	}
-	for tr := range terminals {
-		if started[tr] == 0 && !doneNoStartOK[tr] {
-			errs = append(errs, fmt.Sprintf("trace %d: req-done without req-start", tr))
-		}
-	}
-	for tr := range refs {
-		if started[tr] == 0 {
-			errs = append(errs, fmt.Sprintf("trace %d: orphaned trace reference (no req-start)", tr))
-		}
+		errs = append(errs, obsv.CheckCausality(l.Spans)...)
 	}
 	return errs
 }

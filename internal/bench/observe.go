@@ -129,10 +129,13 @@ func (o *ObserveResult) reconcile(inst *instance) {
 		// Replay the span log in emission order: a request lands in the
 		// recovery-touched split iff a recovery span referenced its trace
 		// before its terminal req-done — the same order-sensitive rule the
-		// runtime applies live, reproduced here purely from the log.
+		// runtime applies live, reproduced here purely from the log. The
+		// same pass runs the span-log contract.
 		var reqStarts, reqDone, reqLost, touchedDone int64
 		touched := map[int64]bool{}
+		var causal obsv.Causality
 		for _, e := range o.Spans {
+			causal.Observe(e)
 			switch e.Kind {
 			case obsv.SpanReqStart:
 				reqStarts++
@@ -144,7 +147,7 @@ func (o *ObserveResult) reconcile(inst *instance) {
 			case obsv.SpanReqLost:
 				reqLost++
 			default:
-				if e.Trace != 0 && recoverySpanKind(e.Kind) {
+				if e.Trace != 0 && obsv.RecoveryKind(e.Kind) {
 					touched[e.Trace] = true
 				}
 			}
@@ -153,6 +156,7 @@ func (o *ObserveResult) reconcile(inst *instance) {
 		check("span req-done vs Stats", reqDone, st.ReqsDone)
 		check("span req-lost vs Stats", reqLost, st.ReqsLost)
 		check("recovery-touched req-done vs latency split", touchedDone, recovered.Count())
+		o.errors = append(o.errors, causal.Findings()...)
 	}
 
 	// The recovery-event histogram must reproduce Stats().LatencyCycles
@@ -184,17 +188,6 @@ func histOf(samples []int64) *obsv.Hist {
 		h.Observe(v)
 	}
 	return h
-}
-
-// recoverySpanKind reports whether a span kind marks recovery machinery
-// acting on a request (mirrors the runtime's touched-trace marking).
-func recoverySpanKind(kind string) bool {
-	switch kind {
-	case obsv.SpanAbort, obsv.SpanCrash, obsv.SpanRetry, obsv.SpanInject,
-		obsv.SpanLatchSTM, obsv.SpanRecovered, obsv.SpanUnrecovered, obsv.SpanShed:
-		return true
-	}
-	return false
 }
 
 // WriteTrace writes the span log as JSONL.

@@ -948,11 +948,11 @@ func (rt *Runtime) RegSave(m *interp.Machine) {
 	}
 }
 
-// Tick implements interp.Runtime: retire instructions against the HTM
+// Tick implements interp.Runtime: retire an instruction against the HTM
 // interrupt model. When the checkpoint ring is armed (replay only) the
 // cycle threshold is tested here, so captures land at instruction
 // boundaries regardless of transaction state.
-func (rt *Runtime) Tick(m *interp.Machine, n int64) error {
+func (rt *Runtime) Tick(m *interp.Machine) error {
 	if rt.ckptEvery > 0 && m.Cycles >= rt.ckptNext {
 		rt.checkpoint(m)
 		for rt.ckptNext <= m.Cycles {
@@ -960,7 +960,7 @@ func (rt *Runtime) Tick(m *interp.Machine, n int64) error {
 		}
 	}
 	if tx := rt.cur; tx != nil && tx.htmTx != nil {
-		return tx.htmTx.Tick(n)
+		return tx.htmTx.Tick(1)
 	}
 	return nil
 }

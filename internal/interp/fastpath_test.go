@@ -213,7 +213,7 @@ func (r *restoreRT) LibCall(m *Machine, name string, args []int64, site int) (in
 
 // Tick fires right after the step in which the restore happened; it
 // observes where the machine actually wrote the libcall's return value.
-func (r *restoreRT) Tick(m *Machine, n int64) error {
+func (r *restoreRT) Tick(m *Machine) error {
 	if r.restored && !r.captured {
 		r.captured = true
 		f := &m.frames[len(m.frames)-1]

@@ -116,8 +116,8 @@ type Runtime interface {
 	// charges work in STM mode.
 	RegSave(m *Machine)
 
-	// Tick retires n instructions: drives the HTM interrupt model.
-	Tick(m *Machine, n int64) error
+	// Tick retires one instruction: drives the HTM interrupt model.
+	Tick(m *Machine) error
 
 	// Handle reacts to an execution event: a trap (as *Trap), a
 	// transaction abort, a blocked library call, or heap corruption.
@@ -657,7 +657,7 @@ func (m *Machine) Run(maxSteps int64) Outcome {
 
 		err := m.step()
 		if err == nil {
-			if terr := m.RT.Tick(m, 1); terr != nil {
+			if terr := m.RT.Tick(m); terr != nil {
 				err = terr
 			}
 		}
@@ -1020,7 +1020,7 @@ func (Direct) Load(m *Machine, addr int64, width int) (int64, error) {
 func (Direct) RegSave(*Machine) {}
 
 // Tick implements Runtime.
-func (Direct) Tick(*Machine, int64) error { return nil }
+func (Direct) Tick(*Machine) error { return nil }
 
 // Handle implements Runtime: blocked calls yield, everything else is fatal.
 func (Direct) Handle(_ *Machine, err error) Action {

@@ -67,6 +67,19 @@ const (
 	SpanLatchDomains    = "latch-domains"
 )
 
+// RecoveryKind reports whether a span kind marks recovery machinery
+// acting on a request (vs the ordinary begin/commit transaction flow): a
+// request whose trace such a span references before its req-done is
+// recovery-touched.
+func RecoveryKind(kind string) bool {
+	switch kind {
+	case SpanAbort, SpanCrash, SpanRetry, SpanInject, SpanLatchSTM, SpanRecovered,
+		SpanUnrecovered, SpanShed, SpanLatchDomains, SpanDomainDiscard, SpanDomainViolation:
+		return true
+	}
+	return false
+}
+
 // SpanEvent is one structured transaction event, timestamped in cost-model
 // cycles. Field order is the JSONL column order; json.Marshal preserves
 // it, so encoded output is byte-deterministic.
